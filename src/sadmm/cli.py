@@ -122,7 +122,7 @@ def cmd_solve(config_path):
     report = validate_params(problem, config, spectral, problem.loss.lipschitz_bound())
     print(_format_report(report, config))
     try:
-        result = run(problem, config)
+        result = run(problem, config, spectral=spectral)
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

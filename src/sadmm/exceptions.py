@@ -28,9 +28,11 @@ class ConfigError(ValueError):
 
 
 class SpectralEstimationError(RuntimeError):
-    """Iterative spectral estimation did not converge within its budget.
+    """A Lanczos iteration of spectral estimation did not converge.
 
-    The best estimates reached so far are attached as ``best``.
+    Raised when ``max_iter`` steps leave the Ritz residual above its
+    tolerance; the best estimates reached so far (the largest Ritz value)
+    are attached as ``best``.
     """
 
     def __init__(self, message, best=None):

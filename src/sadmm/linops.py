@@ -5,7 +5,10 @@ The solver only ever touches an operator through ``apply`` (x -> Ax) and
 forward finite differences in one and two dimensions, the identity, and
 vertical stacking. ``estimate_spectral`` produces the two spectral
 quantities the step-size analysis needs: the squared operator norm
-(largest eigenvalue of A^T A) and the smallest eigenvalue of A A^T.
+(largest eigenvalue of A^T A), from a seeded Lanczos iteration, and the
+smallest eigenvalue of A A^T, which is exactly 0 whenever out_dim > in_dim
+(rank rule) and is otherwise computed densely or by Lanczos on a shifted
+map.
 """
 
 import numpy as np
@@ -228,52 +231,81 @@ class SpectralEstimates:
 _ZERO_REL_TOL = 1e-10
 
 # Above this output dimension the dense eigendecomposition of AA^T is
-# replaced by a shifted power iteration.
+# replaced by a Lanczos iteration on the shifted map.
 _DENSE_LIMIT = 2000
 
 
-def _power_iteration(matvec, dim, tol, max_iter, rng):
+def _lanczos(matvec, dim, tol, max_iter, rng):
     """Largest eigenvalue of a symmetric PSD map given by ``matvec``.
 
-    Stops when the residual ||Mv - lam v|| falls below tol * lam. Returns
-    (eigenvalue, converged_flag).
+    Lanczos iteration with full reorthogonalisation (two classical
+    Gram-Schmidt passes per step) from a seeded start vector; one step is
+    one ``matvec``. Stops when the residual ``beta_k |s_k|`` of the largest
+    Ritz pair falls below tol * theta, or when the Krylov space is
+    exhausted. The k x k Ritz problem costs O(k^3), so it is solved after
+    each of the first 8 steps, then after every eighth more steps, and at
+    the last step allowed: a run overshoots its stopping step by at most
+    an eighth. Returns (theta, converged_flag).
     """
-    v = rng.standard_normal(dim)
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        v = np.ones(dim)
-        nv = np.linalg.norm(v)
-    v /= nv
-    lam = 0.0
-    for _ in range(max_iter):
-        w = matvec(v)
-        lam = float(v @ w) / float(v @ v)
-        resid = np.linalg.norm(w - lam * v)
-        if resid <= tol * max(abs(lam), np.finfo(float).tiny):
-            return lam, True
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            # v is (numerically) in the null space; the map is zero on the
-            # reachable subspace.
-            return 0.0, True
-        v = w / nw
-    return lam, False
+    q = rng.standard_normal(dim)
+    if not q.any():
+        q = np.ones(dim)
+    q /= np.linalg.norm(q)
+    basis = np.empty((min(dim, 16), dim))
+    alphas, betas = [], []
+    theta = 0.0
+    check = 1
+    for k in range(1, min(max_iter, dim) + 1):
+        if k > basis.shape[0]:
+            grown = np.empty((min(2 * basis.shape[0], dim), dim))
+            grown[: k - 1] = basis
+            basis = grown
+        basis[k - 1] = q
+        w = matvec(q)
+        # The Rayleigh quotient rather than q @ w, so that a map fixing q
+        # gives exactly 1.
+        alphas.append(float(q @ w) / float(q @ q))
+        w = w - alphas[-1] * q
+        if betas:
+            w -= betas[-1] * basis[k - 2]
+        active = basis[:k]
+        for _ in range(2):
+            w -= active.T @ (active @ w)
+        beta = float(np.linalg.norm(w))
+        if k in (check, max_iter, dim) or beta == 0.0:
+            check = k + max(1, k // 8)
+            ritz, vecs = np.linalg.eigh(
+                np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+            )
+            theta = float(ritz[-1])
+            resid = beta * abs(float(vecs[-1, -1]))
+            if resid <= tol * max(abs(theta), np.finfo(float).tiny) or k == dim:
+                return theta, True
+        betas.append(beta)
+        q = w / beta
+    return theta, False
 
 
 def estimate_spectral(op, tol=1e-10, max_iter=10000, seed=0):
     """Estimate ``op_norm_sq`` and ``lambda_min_aat`` of an operator.
 
-    The squared norm comes from power iteration on A^T A with a seeded
-    start vector. The smallest eigenvalue of A A^T is computed exactly from
-    a dense eigendecomposition while ``out_dim`` stays at or below 2000,
-    and otherwise by power iteration on the shifted map
-    ``op_norm_sq * Id - A A^T``. Results are deterministic given ``seed``.
+    The squared norm is the largest Ritz value of a Lanczos iteration on
+    A^T A with a seeded start vector; one step (one product with A^T A)
+    counts as one of ``max_iter`` iterations, and the iteration stops once
+    the Ritz residual is at most ``tol`` times the Ritz value or the Krylov
+    space is exhausted. The smallest eigenvalue of A A^T follows from the
+    shape where it can: when ``out_dim > in_dim`` the rank of A A^T is at
+    most ``in_dim``, so it is exactly 0 and nothing more is computed.
+    Otherwise it comes from a dense eigendecomposition of A A^T while
+    ``out_dim`` stays at or below 2000, and above that from the same
+    Lanczos iteration on the shifted map ``op_norm_sq * Id - A A^T``.
+    Results are deterministic given ``seed``.
 
     Raises
     ------
     SpectralEstimationError
-        If an iteration fails to converge within ``max_iter``; the best
-        estimates so far ride along on the exception.
+        If a Lanczos iteration fails to converge within ``max_iter``
+        steps; the best estimates so far ride along on the exception.
     """
     if tol <= 0:
         raise ShapeError("tol must be positive")
@@ -284,14 +316,17 @@ def estimate_spectral(op, tol=1e-10, max_iter=10000, seed=0):
         return op.adjoint(op.apply(v))
 
     rng = substream(seed, DOMAIN_SPECTRAL, 0)
-    op_norm_sq, ok = _power_iteration(ata, op.in_dim, tol, max_iter, rng)
+    op_norm_sq, ok = _lanczos(ata, op.in_dim, tol, max_iter, rng)
     op_norm_sq = max(0.0, op_norm_sq)
     if not ok:
         raise SpectralEstimationError(
-            f"power iteration on A^T A did not converge in {max_iter} iterations",
+            f"Lanczos iteration on A^T A did not converge in {max_iter} steps",
             best=SpectralEstimates(op_norm_sq, 0.0),
         )
 
+    if op.out_dim > op.in_dim:
+        # rank(AA^T) <= in_dim < out_dim, so AA^T is singular.
+        return SpectralEstimates(op_norm_sq, 0.0)
     if op.out_dim <= _DENSE_LIMIT:
         dense = op.to_dense()
         gram = dense @ dense.T
@@ -303,12 +338,12 @@ def estimate_spectral(op, tol=1e-10, max_iter=10000, seed=0):
             return op_norm_sq * v - op.apply(op.adjoint(v))
 
         rng2 = substream(seed, DOMAIN_SPECTRAL, 1)
-        mu, ok = _power_iteration(shifted, op.out_dim, tol, max_iter, rng2)
+        mu, ok = _lanczos(shifted, op.out_dim, tol, max_iter, rng2)
         lam_min = op_norm_sq - mu
         lam_max = op_norm_sq
         if not ok:
             raise SpectralEstimationError(
-                f"shifted power iteration on A A^T did not converge in {max_iter} iterations",
+                f"shifted Lanczos iteration on A A^T did not converge in {max_iter} steps",
                 best=SpectralEstimates(op_norm_sq, max(0.0, lam_min)),
             )
 

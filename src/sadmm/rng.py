@@ -12,7 +12,7 @@ import numpy as np
 # stream.
 DOMAIN_BATCH = 0       # estimator mini-batch / restart draws, index = iteration
 DOMAIN_OUTPUT = 1      # output-rule iterate selection
-DOMAIN_SPECTRAL = 2    # power-iteration start vectors
+DOMAIN_SPECTRAL = 2    # Lanczos start vectors (0: A^T A, 1: shifted A A^T)
 DOMAIN_PROBLEM = 3     # synthetic problem construction
 DOMAIN_NOISE = 4       # measurement noise
 DOMAIN_MASK = 5        # subsampling masks

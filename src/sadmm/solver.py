@@ -232,15 +232,16 @@ def _variance_constants(spec, L, n):
         return VarianceConstants(0.0, 0.0, L.L**2, b / n), False
 
 
-def _make_diag_context(problem, config):
+def _make_diag_context(problem, config, spectral=None):
     loss = problem.loss
     L = loss.lipschitz_bound()
     vc, _ = _variance_constants(config.estimator, L, loss.n)
     consts = None
-    try:
-        spectral = estimate_spectral(problem.op, seed=config.seed)
-    except SpectralEstimationError as exc:
-        spectral = exc.best
+    if spectral is None:
+        try:
+            spectral = estimate_spectral(problem.op, seed=config.seed)
+        except SpectralEstimationError as exc:
+            spectral = exc.best
     if spectral is not None and spectral.lambda_min_aat > 0:
         report = validate_params(problem, config, spectral, L)
         consts = stability_constants(
@@ -258,16 +259,18 @@ def _make_diag_context(problem, config):
     return _DiagContext(consts=consts, rho=vc.rho)
 
 
-def run(problem, config, x0=None):
+def run(problem, config, x0=None, spectral=None):
     """Run the iteration for ``max_epochs`` worth of estimator calls.
 
     Starts from x0 (zeros when omitted), z0 = A x0, u0 = 0. One epoch is
     ceil(n / b) estimator calls (one call for the full backend). With a
-    finite ``residual_tol`` the run stops early once both the primal
-    residual and the relative x-stagnation fall below it; the default 0
-    and an infinite tolerance both exhaust the budget. The reported
-    iterate follows ``output_rule``: the last state, or one drawn
-    uniformly from the trace.
+    positive finite ``residual_tol`` the run stops early once both the
+    primal residual and the relative x-stagnation fall below it; the
+    default 0 and an infinite tolerance both exhaust the budget. The
+    reported iterate follows ``output_rule``: the last state, or one drawn
+    uniformly from the trace. ``spectral`` (SpectralEstimates) is used by
+    the diagnostics when ``diag_every > 0``; when omitted it is estimated
+    here with ``config.seed``.
     """
     loss, op = problem.loss, problem.op
     if x0 is None:
@@ -286,7 +289,9 @@ def run(problem, config, x0=None):
         u_prev=np.zeros(op.out_dim),
         t=0,
     )
-    diag_ctx = _make_diag_context(problem, config) if config.diag_every > 0 else None
+    diag_ctx = (
+        _make_diag_context(problem, config, spectral) if config.diag_every > 0 else None
+    )
     keep_iterates = config.output_rule == "uniform_random"
     trace = []
     iterates = []
@@ -309,7 +314,7 @@ def run(problem, config, x0=None):
         if keep_iterates:
             iterates.append((new_state.x, new_state.z))
         stalled = False
-        if math.isfinite(config.residual_tol):
+        if 0.0 < config.residual_tol < math.inf:
             dx = float(np.linalg.norm(new_state.x - state.x))
             stalled = (
                 record.primal_residual <= config.residual_tol

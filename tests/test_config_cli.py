@@ -106,6 +106,24 @@ def test_solve_diagnostics_header(tmp_path):
         assert (row["aug_lagrangian"] != "") == sampled
 
 
+def test_solve_with_diagnostics_estimates_spectrum_once(tmp_path, monkeypatch):
+    import sadmm.cli
+    import sadmm.solver
+
+    calls = []
+
+    def counting(op, **kwargs):
+        calls.append(kwargs)
+        return sadmm.linops.estimate_spectral(op, **kwargs)
+
+    monkeypatch.setattr(sadmm.cli, "estimate_spectral", counting)
+    monkeypatch.setattr(sadmm.solver, "estimate_spectral", counting)
+    body = BASE_SYNTH.format(trace=tmp_path / "t.csv") + "diag_every = 2\n"
+    cfg = write_config(tmp_path / "run.ini", body)
+    assert main(["solve", cfg]) == 0
+    assert calls == [{"seed": 11}]
+
+
 def test_solve_rerun_identical_modulo_wall_ms(tmp_path):
     trace_a = tmp_path / "a.csv"
     trace_b = tmp_path / "b.csv"

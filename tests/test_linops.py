@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,12 +8,16 @@ from sadmm import (
     FiniteDifference1D,
     FiniteDifference2D,
     Identity,
+    LinearOperator,
     ParseError,
     ShapeError,
+    SolverConfig,
     SpectralEstimationError,
     VerticalStack,
+    build_toy_reconstruction,
     estimate_spectral,
     load_dense_matrix,
+    validate_params,
 )
 
 
@@ -146,6 +152,65 @@ def test_spectral_nonconvergence_carries_best():
         estimate_spectral(op, tol=1e-15, max_iter=1, seed=0)
     assert excinfo.value.best is not None
     assert excinfo.value.best.op_norm_sq > 0
+
+
+@pytest.mark.parametrize("height,width", [(32, 33), (48, 48)])
+def test_spectral_difference_2d_above_dense_limit(height, width):
+    # out_dim > 2000 and out_dim > in_dim: A^T A is the Neumann grid
+    # Laplacian and AA^T is singular.
+    op = FiniteDifference2D(height, width)
+    assert op.out_dim > 2000
+    se = estimate_spectral(op)
+    closed = 4.0 + 2.0 * math.cos(math.pi / height) + 2.0 * math.cos(math.pi / width)
+    assert se.op_norm_sq == pytest.approx(closed, rel=1e-10)
+    assert se.lambda_min_aat == 0.0
+    assert se.condition_kappa == float("inf")
+
+
+def test_spectral_rank_rule_leaves_descent_coefficient_undefined():
+    problem, _ = build_toy_reconstruction(32, 33, seed=0)
+    se = estimate_spectral(problem.op)
+    config = SolverConfig(beta=1.0, tau=4.5, sigma=0.95)
+    report = validate_params(problem, config, se, problem.loss.lipschitz_bound())
+    status = dict((name, s) for name, s, _ in report.checks)
+    assert status["lambda_min_positive"] == "warn"
+    assert math.isnan(report.eta_tilde)
+
+
+class RowDifferences(LinearOperator):
+    """Forward differences down the columns of a (rows, cols) image.
+
+    A = D kron I_cols with D the (rows-1) x rows difference matrix, so AA^T
+    has the eigenvalues 2 - 2 cos(k pi / rows), k = 1..rows-1, each
+    ``cols`` times. Not materializable, to keep the dense path out.
+    """
+
+    def __init__(self, rows, cols):
+        self.rows, self.cols = rows, cols
+        self.in_dim = rows * cols
+        self.out_dim = (rows - 1) * cols
+
+    def apply(self, x):
+        img = np.asarray(x, dtype=float).reshape(self.rows, self.cols)
+        return (img[1:] - img[:-1]).ravel()
+
+    def adjoint(self, y):
+        diff = np.asarray(y, dtype=float).reshape(self.rows - 1, self.cols)
+        out = np.zeros((self.rows, self.cols))
+        out[1:] += diff
+        out[:-1] -= diff
+        return out.ravel()
+
+    def to_dense(self):
+        raise AssertionError("the shifted branch must not materialize the operator")
+
+
+def test_spectral_shifted_branch_matches_closed_form():
+    op = RowDifferences(8, 300)
+    assert 2000 < op.out_dim <= op.in_dim
+    se = estimate_spectral(op, seed=3)
+    assert se.op_norm_sq == pytest.approx(2.0 + 2.0 * math.cos(math.pi / 8), rel=1e-10)
+    assert se.lambda_min_aat == pytest.approx(2.0 - 2.0 * math.cos(math.pi / 8), rel=1e-9)
 
 
 def test_dense_loader_roundtrip(tmp_path):

@@ -20,6 +20,7 @@ from sadmm import (
     SolverConfig,
     SolverState,
     augmented_lagrangian,
+    build_toy_reconstruction,
     estimate_spectral,
     generate_synthetic_quadratic,
     init_estimator,
@@ -267,6 +268,41 @@ def test_run_stops_early_on_small_residual():
     result = run(problem, config)
     assert len(result.trace) < 50000
     assert result.trace[-1].primal_residual <= 1e-8
+
+
+def test_run_zero_tolerance_exhausts_budget_after_a_still_step():
+    # The first batch only touches pixels whose blurred target is 0, so the
+    # first step leaves x, z and u at 0; the default tolerance 0 must not
+    # take that for convergence.
+    problem, _ = build_toy_reconstruction(32, 32, seed=0)
+    config = SolverConfig(
+        beta=0.1, tau=0.65, sigma=0.95,
+        estimator=EstimatorSpec("sgd", batch_size=16, seed=0),
+        max_epochs=4, seed=0,
+    )
+    assert config.residual_tol == 0.0
+    result = run(problem, config)
+    assert len(result.trace) == 4 * 1024 // 16
+
+
+def test_run_uses_given_spectral_estimate(monkeypatch):
+    import sadmm.solver
+
+    problem = small_problem(seed=12)
+    config = SolverConfig(
+        beta=1.0, tau=4.0, sigma=0.9, estimator=EstimatorSpec("saga", batch_size=5),
+        max_epochs=2, diag_every=1,
+    )
+    spectral = estimate_spectral(problem.op, seed=config.seed)
+    expected = run(problem, config)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("spectrum estimated again")
+
+    monkeypatch.setattr(sadmm.solver, "estimate_spectral", fail)
+    result = run(problem, config, spectral=spectral)
+    assert [r.diag.psi for r in result.trace] == [r.diag.psi for r in expected.trace]
+    assert result.trace[-1].objective == expected.trace[-1].objective
 
 
 @pytest.mark.filterwarnings("ignore:invalid value", "ignore:overflow")
