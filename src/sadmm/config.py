@@ -176,6 +176,9 @@ def load_run_config(path):
     solv.check_keys(_SOLVER_KEYS)
     seed = solv.get("seed", int, default=0)
     kind = solv.get("estimator", str, default="full")
+    for key, owner in (("sarah_p", "sarah"), ("epoch_len", "svrg")):
+        if key in solv.mapping and kind != owner:
+            raise ConfigError(f"[solver] {key} applies to estimator {owner!r} only, not {kind!r}")
     if parser.has_section("output"):
         out = _Section("output", parser.items("output"))
     else:

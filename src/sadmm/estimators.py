@@ -118,6 +118,15 @@ class GradientEstimator:
     def estimate(self, x):
         raise NotImplementedError
 
+    def _scatter(self, diffs):
+        """(sum_i ||d_i||^2 / (b n), sum_i ||d_i|| / sqrt(b n)) over rows d_i."""
+        sq = np.add.reduce(diffs * diffs, axis=1)
+        b = self.spec.batch_size
+        return (
+            float(np.add.reduce(sq)) / (b * self.n),
+            float(np.add.reduce(np.sqrt(sq))) / math.sqrt(b * self.n),
+        )
+
     def upsilon_gamma(self, x):
         """Backend error-bounding pair (Upsilon, Gamma) at the current state."""
         raise NotImplementedError
@@ -159,13 +168,7 @@ class SgdEstimator(GradientEstimator):
         # No certified sequence exists; report the per-sample scatter around
         # the full gradient in the same normalization the certified
         # backends use.
-        diffs = self.loss.component_gradients(x) - self.loss.full_gradient(x)
-        sq = np.add.reduce(diffs * diffs, axis=1)
-        b = self.spec.batch_size
-        return (
-            float(np.add.reduce(sq)) / (b * self.n),
-            float(np.add.reduce(np.sqrt(sq))) / math.sqrt(b * self.n),
-        )
+        return self._scatter(self.loss.component_gradients(x) - self.loss.full_gradient(x))
 
 
 class SagaEstimator(GradientEstimator):
@@ -203,13 +206,7 @@ class SagaEstimator(GradientEstimator):
         return g
 
     def upsilon_gamma(self, x):
-        diffs = self.loss.component_gradients(x) - self.phi_grads
-        sq = np.add.reduce(diffs * diffs, axis=1)
-        b = self.spec.batch_size
-        return (
-            float(np.add.reduce(sq)) / (b * self.n),
-            float(np.add.reduce(np.sqrt(sq))) / math.sqrt(b * self.n),
-        )
+        return self._scatter(self.loss.component_gradients(x) - self.phi_grads)
 
 
 class SvrgEstimator(GradientEstimator):
@@ -245,12 +242,7 @@ class SvrgEstimator(GradientEstimator):
         # Uncertified analogue of the gradient-table formula with every
         # memory slot sitting at the anchor.
         diffs = self.loss.component_gradients(x) - self.loss.component_gradients(self.anchor_x)
-        sq = np.add.reduce(diffs * diffs, axis=1)
-        b = self.spec.batch_size
-        return (
-            float(np.add.reduce(sq)) / (b * self.n),
-            float(np.add.reduce(np.sqrt(sq))) / math.sqrt(b * self.n),
-        )
+        return self._scatter(diffs)
 
 
 class SarahEstimator(GradientEstimator):

@@ -41,10 +41,10 @@ class SpectralEstimationError(RuntimeError):
 
 
 class DivergenceError(RuntimeError):
-    """A solver iterate became non-finite; ``iteration`` names the step."""
+    """An iterate or the objective became non-finite; ``iteration`` names the step."""
 
-    def __init__(self, iteration):
-        super().__init__(f"non-finite iterate at iteration {iteration}")
+    def __init__(self, iteration, what="iterate"):
+        super().__init__(f"non-finite {what} at iteration {iteration}")
         self.iteration = iteration
 
 

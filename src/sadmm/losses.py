@@ -7,12 +7,14 @@ evaluation. Two component families are provided: the sigmoid
 classification loss 1 / (1 + exp(b <a, x>)) and the squared residual
 (<r, x> - b)^2.
 
-Reduction-order contract: row dot products go through one kernel whose
-per-row reduction depends only on the row length, and full sums
-accumulate over the component axis with a fixed deterministic order, so a
-single-component evaluation is bit-identical to the matching row of a
-block evaluation and ``full_gradient`` equals the mean of component
-gradients exactly.
+Both families are generalized linear: gradient i is a scalar c_i times
+row i. Two einsum kernels keep the reduction order fixed. Row dots reduce
+each row with splits that depend only on its length, so single-component
+and block evaluations are bit-identical. The weighted column sum of
+c_i * row i adds the rows in ascending order, exactly as the axis-0
+reduce of the n x d gradient table does, so ``full_gradient`` is the
+exact mean of the component gradients without building that table. With
+d = 1 that reduce is pairwise, and the vector c_i r_i is reduced instead.
 """
 
 import numpy as np
@@ -39,15 +41,14 @@ def _row_dots(rows, x):
     return np.einsum("ij,j->i", rows, x)
 
 
-def _logistic(s):
-    """Overflow-safe 1 / (1 + exp(-s)), elementwise."""
-    s = np.asarray(s, dtype=float)
-    out = np.empty_like(s)
+def _logistic_pair(s):
+    """(1 / (1 + exp(-s)), 1 / (1 + exp(s))) elementwise from one e = exp(-|s|);
+    each entry is 1 / (1 + e) or e / (1 + e), whichever cannot overflow."""
+    e = np.exp(-np.abs(s))
+    big = 1.0 / (1.0 + e)
+    small = e / (1.0 + e)
     pos = s >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-s[pos]))
-    es = np.exp(s[~pos])
-    out[~pos] = es / (1.0 + es)
-    return out
+    return np.where(pos, big, small), np.where(pos, small, big)
 
 
 class SigmoidComponent:
@@ -70,12 +71,13 @@ class SigmoidComponent:
 
     def value(self, x):
         s = self.b * float(_row_dots(self.a[None, :], np.asarray(x, dtype=float))[0])
-        return float(_logistic(np.array([-s]))[0])
+        return float(_logistic_pair(np.array([s]))[1][0])
 
     def gradient(self, x):
         x = np.asarray(x, dtype=float)
         s = self.b * _row_dots(self.a[None, :], x)
-        coef = -self.b * _logistic(s) * _logistic(-s)
+        p, q = _logistic_pair(s)
+        coef = -self.b * p * q
         return (coef[:, None] * self.a[None, :])[0]
 
 
@@ -137,15 +139,10 @@ class FiniteSumLoss:
         self.dim = dim
         kinds = {c.kind for c in components}
         self._kind = kinds.pop() if len(kinds) == 1 else None
-        if self._kind == "sigmoid":
-            self._rows = np.vstack([c.a for c in components])
+        self._rows = self._targets = None
+        if self._kind in ("sigmoid", "least_squares"):
+            self._rows = np.vstack([c.a if self._kind == "sigmoid" else c.r for c in components])
             self._targets = np.array([c.b for c in components])
-        elif self._kind == "least_squares":
-            self._rows = np.vstack([c.r for c in components])
-            self._targets = np.array([c.b for c in components])
-        else:
-            self._rows = None
-            self._targets = None
 
     def _check_x(self, x):
         x = np.asarray(x, dtype=float)
@@ -166,17 +163,23 @@ class FiniteSumLoss:
             return self._rows, self._targets
         return self._rows[idx], self._targets[idx]
 
+    def _coefficients(self, x, rows, targets):
+        """Per-row gradient coefficients c_i of a packed loss at x."""
+        s = _row_dots(rows, x)
+        if self._kind == "sigmoid":
+            p, q = _logistic_pair(targets * s)
+            return -targets * p * q
+        return 2.0 * (s - targets)
+
     def component_values(self, x, idx=None):
         """Values of the selected components at x, in the order of idx."""
         x = self._check_x(x)
         idx = self._check_idx(idx)
-        if self._kind == "sigmoid":
-            rows, targets = self._selected(idx)
-            s = targets * _row_dots(rows, x)
-            return _logistic(-s)
-        if self._kind == "least_squares":
+        if self._rows is not None:
             rows, targets = self._selected(idx)
             s = _row_dots(rows, x)
+            if self._kind == "sigmoid":
+                return _logistic_pair(targets * s)[1]
             return (s - targets) ** 2
         members = self.components if idx is None else [self.components[i] for i in idx]
         return np.array([c.value(x) for c in members])
@@ -185,16 +188,9 @@ class FiniteSumLoss:
         """Gradients of the selected components at x, stacked row-wise."""
         x = self._check_x(x)
         idx = self._check_idx(idx)
-        if self._kind == "sigmoid":
+        if self._rows is not None:
             rows, targets = self._selected(idx)
-            s = targets * _row_dots(rows, x)
-            coef = -targets * _logistic(s) * _logistic(-s)
-            return coef[:, None] * rows
-        if self._kind == "least_squares":
-            rows, targets = self._selected(idx)
-            s = _row_dots(rows, x)
-            coef = 2.0 * (s - targets)
-            return coef[:, None] * rows
+            return self._coefficients(x, rows, targets)[:, None] * rows
         members = self.components if idx is None else [self.components[i] for i in idx]
         return np.stack([c.gradient(x) for c in members])
 
@@ -209,8 +205,17 @@ class FiniteSumLoss:
         return float(np.add.reduce(self.component_values(x)) / self.n)
 
     def full_gradient(self, x):
-        """(1/n) sum of component gradients, accumulated in ascending order."""
-        return np.add.reduce(self.component_gradients(x), axis=0) / self.n
+        """(1/n) sum of component gradients, bit for bit their axis-0 reduce.
+
+        Packed losses sum c_i * row i by einsum in ascending row order (for
+        d = 1, reduce the vector c_i r_i); mixed ones reduce the stack.
+        """
+        if self._rows is None:
+            return np.add.reduce(self.component_gradients(x), axis=0) / self.n
+        coef = self._coefficients(self._check_x(x), self._rows, self._targets)
+        if self.dim == 1:
+            return np.add.reduce(coef * self._rows[:, 0], keepdims=True) / self.n
+        return np.einsum("i,ij->j", coef, self._rows) / self.n
 
     def lipschitz_bound(self):
         """Certified gradient Lipschitz constant.

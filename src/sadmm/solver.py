@@ -270,7 +270,8 @@ def run(problem, config, x0=None, spectral=None):
     reported iterate follows ``output_rule``: the last state, or one drawn
     uniformly from the trace. ``spectral`` (SpectralEstimates) is used by
     the diagnostics when ``diag_every > 0``; when omitted it is estimated
-    here with ``config.seed``.
+    here with ``config.seed``. A non-finite iterate or recorded objective
+    raises DivergenceError.
     """
     loss, op = problem.loss, problem.op
     if x0 is None:
@@ -296,11 +297,7 @@ def run(problem, config, x0=None, spectral=None):
     trace = []
     iterates = []
     for _ in range(total_iters):
-        sampled = (
-            diag_ctx is not None
-            and config.diag_every > 0
-            and state.t % config.diag_every == 0
-        )
+        sampled = diag_ctx is not None and state.t % config.diag_every == 0
         new_state, record = step(
             state, problem, config, estimator, diag_ctx if sampled else None
         )
@@ -310,6 +307,8 @@ def run(problem, config, x0=None, spectral=None):
             and np.isfinite(new_state.u).all()
         ):
             raise DivergenceError(new_state.t)
+        if not math.isfinite(record.objective):
+            raise DivergenceError(new_state.t, "objective")
         trace.append(record)
         if keep_iterates:
             iterates.append((new_state.x, new_state.z))

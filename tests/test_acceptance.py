@@ -347,6 +347,7 @@ def test_criterion_7_parameter_validator():
         assert status["tau_vs_beta_norm"] == "pass"
 
 
+@pytest.mark.slow
 def test_criterion_8_qualitative_method_ordering(tmp_path):
     # Desk-scale stand-in for the mushrooms benchmark: the real file is not
     # redistributable here, so a deterministic categorical dataset with the

@@ -77,6 +77,40 @@ def test_missing_required_key(tmp_path):
         load_run_config(cfg)
 
 
+@pytest.mark.parametrize(
+    "kind, extra",
+    [
+        ("saga", "sarah_p = 4.0"),
+        ("svrg", "sarah_p = 4.0"),
+        ("full", "sarah_p = 4.0"),
+        ("saga", "epoch_len = 5"),
+        ("sarah", "epoch_len = 5"),
+        ("sgd", "epoch_len = 5"),
+    ],
+)
+def test_estimator_specific_key_rejected_for_other_estimators(tmp_path, kind, extra):
+    body = BASE_SYNTH.format(trace="t.csv").replace(
+        "estimator = saga", f"estimator = {kind}\n{extra}"
+    )
+    cfg = write_config(tmp_path / "k.ini", body)
+    key = extra.split(" = ")[0]
+    with pytest.raises(ConfigError, match=rf"{key}.*'{kind}'"):
+        load_run_config(cfg)
+
+
+@pytest.mark.parametrize("kind, extra", [("sarah", "sarah_p = 4.0"), ("svrg", "epoch_len = 5")])
+def test_estimator_specific_key_accepted_for_its_estimator(tmp_path, kind, extra):
+    body = BASE_SYNTH.format(trace="t.csv").replace(
+        "estimator = saga", f"estimator = {kind}\n{extra}"
+    )
+    rc = load_run_config(write_config(tmp_path / "k.ini", body))
+    assert rc.solver.estimator.kind == kind
+    if kind == "sarah":
+        assert rc.solver.estimator.restart_p == 4.0
+    else:
+        assert rc.solver.estimator.epoch_len == 5
+
+
 def test_solve_writes_trace_with_frozen_header(tmp_path, capsys):
     trace = tmp_path / "trace.csv"
     cfg = write_config(tmp_path / "run.ini", BASE_SYNTH.format(trace=trace))

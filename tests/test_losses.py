@@ -95,6 +95,95 @@ def test_full_gradient_is_exact_mean_of_components():
         assert loss.full_value(x) == np.add.reduce(values) / loss.n
 
 
+def _onehot_sigmoid_loss(rng):
+    # 300 samples, 8 attribute groups of 5 one-hot columns each
+    cols = np.arange(8) * 5 + rng.integers(0, 5, size=(300, 8))
+    rows = np.zeros((300, 40))
+    np.put_along_axis(rows, cols, 1.0, axis=1)
+    return FiniteSumLoss(
+        [SigmoidComponent(r, rng.choice([-1.0, 1.0])) for r in rows]
+    )
+
+
+def _banded_least_squares_loss(rng):
+    # 1-D box blur of radius 2 on 150 pixels, every third measurement kept
+    d = 150
+    rows = np.zeros((d, d))
+    for i in range(d):
+        lo, hi = max(0, i - 2), min(d, i + 3)
+        rows[i, lo:hi] = 1.0 / (hi - lo)
+    rows = rows[::3]
+    return FiniteSumLoss(
+        [LeastSquaresComponent(r, rng.standard_normal()) for r in rows]
+    )
+
+
+def _mixed_loss(rng):
+    comps = [
+        SigmoidComponent(rng.standard_normal(6), rng.choice([-1.0, 1.0]))
+        if i % 3
+        else LeastSquaresComponent(rng.standard_normal(6), rng.standard_normal())
+        for i in range(20)
+    ]
+    return FiniteSumLoss(comps)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        _onehot_sigmoid_loss,
+        _banded_least_squares_loss,
+        lambda rng: random_sigmoid_loss(rng, n=37, d=1),
+        lambda rng: random_least_squares_loss(rng, n=37, d=1),
+        _mixed_loss,
+    ],
+    ids=["onehot_sigmoid", "banded_least_squares", "d1_sigmoid", "d1_least_squares", "mixed"],
+)
+def test_full_gradient_equals_reduced_component_stack(make):
+    # full_gradient takes no n x d table; it must still equal the axis-0
+    # reduce of the stacked component gradients bit for bit, including
+    # d = 1, where that reduce is pairwise over the rows
+    rng = np.random.default_rng(6)
+    loss = make(rng)
+    for scale in (0.1, 1.0, 30.0):
+        x = scale * rng.standard_normal(loss.dim)
+        stacked = np.stack([loss.component_gradient(i, x) for i in range(loss.n)])
+        expected = np.add.reduce(stacked, axis=0) / loss.n
+        got = loss.full_gradient(x)
+        assert got.shape == (loss.dim,)
+        assert np.array_equal(got, expected)
+
+
+def _masked_logistic(s):
+    # the three-pass masked form the single-exp kernel replaced
+    s = np.asarray(s, dtype=float)
+    out = np.empty_like(s)
+    pos = s >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-s[pos]))
+    es = np.exp(s[~pos])
+    out[~pos] = es / (1.0 + es)
+    return out
+
+
+@pytest.mark.filterwarnings("ignore:invalid value")
+def test_single_exp_logistic_matches_masked_formula():
+    from sadmm.losses import _logistic_pair
+
+    special = np.array(
+        [0.0, -0.0, np.inf, -np.inf, np.nan, 745.0, -745.0, 800.0, -800.0, 1e-300]
+    )
+    rng = np.random.default_rng(7)
+    swept = rng.standard_normal(5000) * np.repeat([1e-300, 1e-8, 1.0, 30.0, 700.0], 1000)
+    for s in (special, swept):
+        p, q = _logistic_pair(s)
+        np.testing.assert_array_equal(p, _masked_logistic(s))
+        np.testing.assert_array_equal(q, _masked_logistic(-s))
+    for v in special:
+        p, q = _logistic_pair(np.array([v]))
+        np.testing.assert_array_equal(p, _masked_logistic([v]))
+        np.testing.assert_array_equal(q, _masked_logistic([-v]))
+
+
 def test_single_component_full_gradient():
     c = LeastSquaresComponent([1.0, 2.0], 0.5)
     loss = FiniteSumLoss([c])

@@ -316,6 +316,20 @@ def test_run_reports_divergence_with_iteration():
     assert excinfo.value.iteration >= 1
 
 
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_run_reports_divergence_on_non_finite_objective():
+    # (x - 0)^2 overflows once x passes about 1.3e154 while x, z and u stay
+    # finite, so only the objective shows the blow-up.
+    loss = FiniteSumLoss([LeastSquaresComponent([1.0], 0.0)])
+    problem = Problem(loss=loss, reg=L1(0.1), op=Identity(1), name="overflow")
+    config = SolverConfig(
+        beta=1.0, tau=4.0, sigma=0.9, estimator=EstimatorSpec("full"), max_epochs=3
+    )
+    with pytest.raises(DivergenceError, match="objective") as excinfo:
+        run(problem, config, x0=np.array([1e155]))
+    assert excinfo.value.iteration == 1
+
+
 def test_run_is_deterministic_given_seed():
     problem = small_problem(seed=11)
     spec = EstimatorSpec("sarah", batch_size=3, restart_p=4.0, seed=21)
