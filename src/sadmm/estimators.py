@@ -119,8 +119,11 @@ class GradientEstimator:
         raise NotImplementedError
 
     def _scatter(self, diffs):
-        """(sum_i ||d_i||^2 / (b n), sum_i ||d_i|| / sqrt(b n)) over rows d_i."""
-        sq = np.add.reduce(diffs * diffs, axis=1)
+        """(sum_i ||d_i||^2 / (b n), sum_i ||d_i|| / sqrt(b n)) over rows d_i.
+
+        ``diffs`` is a temporary owned by the caller; it is squared in place.
+        """
+        sq = np.add.reduce(np.multiply(diffs, diffs, out=diffs), axis=1)
         b = self.spec.batch_size
         return (
             float(np.add.reduce(sq)) / (b * self.n),
@@ -168,7 +171,9 @@ class SgdEstimator(GradientEstimator):
         # No certified sequence exists; report the per-sample scatter around
         # the full gradient in the same normalization the certified
         # backends use.
-        return self._scatter(self.loss.component_gradients(x) - self.loss.full_gradient(x))
+        diffs = self.loss.component_gradients(x)
+        diffs -= self.loss.full_gradient(x)
+        return self._scatter(diffs)
 
 
 class SagaEstimator(GradientEstimator):
@@ -206,7 +211,9 @@ class SagaEstimator(GradientEstimator):
         return g
 
     def upsilon_gamma(self, x):
-        return self._scatter(self.loss.component_gradients(x) - self.phi_grads)
+        diffs = self.loss.component_gradients(x)
+        diffs -= self.phi_grads
+        return self._scatter(diffs)
 
 
 class SvrgEstimator(GradientEstimator):
@@ -240,8 +247,11 @@ class SvrgEstimator(GradientEstimator):
 
     def upsilon_gamma(self, x):
         # Uncertified analogue of the gradient-table formula with every
-        # memory slot sitting at the anchor.
-        diffs = self.loss.component_gradients(x) - self.loss.component_gradients(self.anchor_x)
+        # memory slot sitting at the anchor. The anchor goes first, so the
+        # loss's memo ends at x, the point the solver scores next.
+        at_anchor = self.loss.component_gradients(self.anchor_x)
+        diffs = self.loss.component_gradients(x)
+        diffs -= at_anchor
         return self._scatter(diffs)
 
 

@@ -15,7 +15,20 @@ c_i * row i adds the rows in ascending order, exactly as the axis-0
 reduce of the n x d gradient table does, so ``full_gradient`` is the
 exact mean of the component gradients without building that table. With
 d = 1 that reduce is pairwise, and the vector c_i r_i is reduced instead.
+
+A packed loss keeps a one-entry memo of the last point an all-rows pass
+saw: the per-row link terms there (sigmoid pair or residual, from which
+both values and c_i follow elementwise), and the full value and gradient
+once computed. The solver scores x_{t+1} with ``full_value`` and takes
+the next full gradient at that same point, which then costs only the
+column sum. The memo is keyed by the bytes of x, so -0.0 and 0.0 differ,
+an array changed in place misses and a point with a NaN is never kept.
+A hit returns exactly what a fresh evaluation returns, bit for bit,
+because row dots are row-consistent and the link is elementwise.
+``solver.run`` drops the memo when it returns or raises.
 """
+
+import math
 
 import numpy as np
 
@@ -49,6 +62,17 @@ def _logistic_pair(s):
     small = e / (1.0 + e)
     pos = s >= 0
     return np.where(pos, big, small), np.where(pos, small, big)
+
+
+def _column_mean(coef, rows):
+    """(1/n) sum_i coef_i * row i, adding the rows in ascending order.
+
+    einsum matches the axis-0 reduce of the n x d table for d >= 2; for
+    d = 1 that reduce is pairwise, and the vector coef_i r_i is reduced.
+    """
+    if rows.shape[1] == 1:
+        return np.add.reduce(coef * rows[:, 0], keepdims=True) / rows.shape[0]
+    return np.einsum("i,ij->j", coef, rows) / rows.shape[0]
 
 
 class SigmoidComponent:
@@ -123,7 +147,10 @@ class FiniteSumLoss:
     When all components are of the same kind the per-component data is
     packed into matrices and block evaluations are vectorized; mixed
     collections fall back to a per-component loop with identical results.
-    Instances are immutable and all evaluations are pure.
+    The components are immutable and every evaluation is pure: its result
+    depends on x alone. A packed loss also keeps the one-point memo of the
+    module docstring, replaced as one tuple; a hit returns exactly what a
+    fresh evaluation would, and ``drop_memo`` releases it.
     """
 
     def __init__(self, components):
@@ -143,6 +170,9 @@ class FiniteSumLoss:
         if self._kind in ("sigmoid", "least_squares"):
             self._rows = np.vstack([c.a if self._kind == "sigmoid" else c.r for c in components])
             self._targets = np.array([c.b for c in components])
+        # (key, link terms of every row, full value or None, full gradient or None)
+        self._memo = None
+        self._lipschitz = None
 
     def _check_x(self, x):
         x = np.asarray(x, dtype=float)
@@ -163,13 +193,46 @@ class FiniteSumLoss:
             return self._rows, self._targets
         return self._rows[idx], self._targets[idx]
 
-    def _coefficients(self, x, rows, targets):
-        """Per-row gradient coefficients c_i of a packed loss at x."""
+    def _link(self, x, rows, targets):
+        """Per-row link terms at x: the logistic pair (p, q) of the sigmoid
+        margins, or the least-squares residuals as a 1-tuple."""
         s = _row_dots(rows, x)
         if self._kind == "sigmoid":
-            p, q = _logistic_pair(targets * s)
+            return _logistic_pair(targets * s)
+        return (s - targets,)
+
+    def _values(self, terms):
+        return terms[1] if self._kind == "sigmoid" else terms[0] ** 2
+
+    def _coefficients(self, terms, targets):
+        """Per-row gradient coefficients c_i from the link terms."""
+        if self._kind == "sigmoid":
+            p, q = terms
             return -targets * p * q
-        return 2.0 * (s - targets)
+        return 2.0 * terms[0]
+
+    def _all_rows(self, x):
+        """The memo at x; on a miss, one all-rows pass replaces it."""
+        key = x.tobytes()
+        memo = self._memo
+        if memo is None or memo[0] != key:
+            terms = self._link(x, self._rows, self._targets)
+            if math.isnan(terms[-1][0]):
+                key = None  # a NaN in x makes every row dot NaN; None never matches
+            memo = self._memo = (key, terms, None, None)
+        return memo
+
+    def _selected_terms(self, x, idx, rows, targets):
+        if idx is None:
+            return self._all_rows(x)[1]
+        memo = self._memo
+        if memo is not None and memo[0] == x.tobytes():
+            return tuple([t[idx] for t in memo[1]])
+        return self._link(x, rows, targets)
+
+    def drop_memo(self):
+        """Release the memo; later results are unchanged."""
+        self._memo = None
 
     def component_values(self, x, idx=None):
         """Values of the selected components at x, in the order of idx."""
@@ -177,10 +240,9 @@ class FiniteSumLoss:
         idx = self._check_idx(idx)
         if self._rows is not None:
             rows, targets = self._selected(idx)
-            s = _row_dots(rows, x)
-            if self._kind == "sigmoid":
-                return _logistic_pair(targets * s)[1]
-            return (s - targets) ** 2
+            values = self._values(self._selected_terms(x, idx, rows, targets))
+            # all the sigmoid values are the memo's own array
+            return values.copy() if idx is None and self._kind == "sigmoid" else values
         members = self.components if idx is None else [self.components[i] for i in idx]
         return np.array([c.value(x) for c in members])
 
@@ -190,7 +252,8 @@ class FiniteSumLoss:
         idx = self._check_idx(idx)
         if self._rows is not None:
             rows, targets = self._selected(idx)
-            return self._coefficients(x, rows, targets)[:, None] * rows
+            terms = self._selected_terms(x, idx, rows, targets)
+            return self._coefficients(terms, targets)[:, None] * rows
         members = self.components if idx is None else [self.components[i] for i in idx]
         return np.stack([c.gradient(x) for c in members])
 
@@ -202,34 +265,43 @@ class FiniteSumLoss:
 
     def full_value(self, x):
         """(1/n) sum of component values, accumulated in ascending order."""
-        return float(np.add.reduce(self.component_values(x)) / self.n)
+        if self._rows is None:
+            return float(np.add.reduce(self.component_values(x)) / self.n)
+        key, terms, value, grad = self._all_rows(self._check_x(x))
+        if value is None:
+            value = float(np.add.reduce(self._values(terms)) / self.n)
+            self._memo = (key, terms, value, grad)
+        return value
 
     def full_gradient(self, x):
         """(1/n) sum of component gradients, bit for bit their axis-0 reduce.
 
-        Packed losses sum c_i * row i by einsum in ascending row order (for
-        d = 1, reduce the vector c_i r_i); mixed ones reduce the stack.
+        Packed losses take the column mean of c_i * row i (``_column_mean``);
+        mixed ones reduce the stack.
         """
         if self._rows is None:
             return np.add.reduce(self.component_gradients(x), axis=0) / self.n
-        coef = self._coefficients(self._check_x(x), self._rows, self._targets)
-        if self.dim == 1:
-            return np.add.reduce(coef * self._rows[:, 0], keepdims=True) / self.n
-        return np.einsum("i,ij->j", coef, self._rows) / self.n
+        key, terms, value, grad = self._all_rows(self._check_x(x))
+        if grad is None:
+            grad = _column_mean(self._coefficients(terms, self._targets), self._rows)
+            self._memo = (key, terms, value, grad)
+        return grad.copy()
 
     def lipschitz_bound(self):
         """Certified gradient Lipschitz constant.
 
         Sigmoid components contribute SIGMOID_CURVATURE * ||a||^2 and
         squared residuals 2 * ||r||^2; the bound is the maximum
-        contribution.
+        contribution. The loop over the components runs once per loss.
         """
-        best = 0.0
-        for c in self.components:
-            if c.kind == "sigmoid":
-                best = max(best, SIGMOID_CURVATURE * float(c.a @ c.a))
-            elif c.kind == "least_squares":
-                best = max(best, 2.0 * float(c.r @ c.r))
-            else:
-                raise ShapeError(f"unknown component kind {c.kind!r}")
-        return LipschitzBound(best)
+        if self._lipschitz is None:
+            best = 0.0
+            for c in self.components:
+                if c.kind == "sigmoid":
+                    best = max(best, SIGMOID_CURVATURE * float(c.a @ c.a))
+                elif c.kind == "least_squares":
+                    best = max(best, 2.0 * float(c.r @ c.r))
+                else:
+                    raise ShapeError(f"unknown component kind {c.kind!r}")
+            self._lipschitz = best
+        return LipschitzBound(self._lipschitz)

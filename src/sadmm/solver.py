@@ -100,7 +100,11 @@ class SolverConfig:
 
 @dataclass
 class SolverState:
-    """Current and lagged iterates; ``t`` counts completed iterations."""
+    """Current and lagged iterates; ``t`` counts completed iterations.
+
+    ``ax`` is A x, carried from one step to the next so that a step applies
+    A once; None makes ``step`` compute it.
+    """
 
     x: np.ndarray
     z: np.ndarray
@@ -108,6 +112,7 @@ class SolverState:
     x_prev: np.ndarray
     u_prev: np.ndarray
     t: int = 0
+    ax: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -138,7 +143,7 @@ def z_update(x, u, op, reg, beta):
     u = np.asarray(u, dtype=float)
     if u.shape != (op.out_dim,):
         raise ShapeError(f"u must have length {op.out_dim}, got shape {u.shape}")
-    return reg.prox(op.apply(x) + u / beta, beta)
+    return _z_step(op.apply(x), u, reg, beta)
 
 
 def x_update(x, z_next, u, g_tilde, op, tau, beta):
@@ -153,8 +158,7 @@ def x_update(x, z_next, u, g_tilde, op, tau, beta):
         raise ShapeError("gradient estimate and x must have the same shape")
     if u.shape != (op.out_dim,) or z_next.shape != (op.out_dim,):
         raise ShapeError(f"u and z must have length {op.out_dim}")
-    direction = g_tilde + op.adjoint(u + beta * (op.apply(x) - z_next))
-    return x - direction / tau
+    return _x_step(x, op.apply(x), z_next, u, g_tilde, op, tau, beta)
 
 
 def u_update(u, x_next, z_next, op, sigma, beta):
@@ -163,7 +167,26 @@ def u_update(u, x_next, z_next, op, sigma, beta):
     z_next = np.asarray(z_next, dtype=float)
     if u.shape != (op.out_dim,) or z_next.shape != (op.out_dim,):
         raise ShapeError(f"u and z must have length {op.out_dim}")
-    return u + sigma * beta * (op.apply(x_next) - z_next)
+    return _u_step(u, op.apply(x_next) - z_next, sigma, beta)
+
+
+# The arithmetic of the three updates, given A x and the residual
+# A x_{t+1} - z_{t+1}. ``step`` calls these directly: ``run`` has checked
+# the shapes once, and A x_{t+1} serves the dual step, the residual and the
+# next iteration's z and x steps.
+
+
+def _z_step(ax, u, reg, beta):
+    return reg.prox(ax + u / beta, beta)
+
+
+def _x_step(x, ax, z_next, u, g_tilde, op, tau, beta):
+    direction = g_tilde + op.adjoint(u + beta * (ax - z_next))
+    return x - direction / tau
+
+
+def _u_step(u, resid, sigma, beta):
+    return u + sigma * beta * resid
 
 
 @dataclass
@@ -175,28 +198,36 @@ class _DiagContext:
 def step(state, problem, config, estimator, diag_ctx=None):
     """Advance one iteration; returns (new_state, record).
 
-    The estimator is updated in place. When ``diag_ctx`` is given the
-    record carries a DiagnosticsRecord computed for the new state (cost
-    O(n * dim)).
+    The state holds float arrays of the shapes ``run`` builds; they are not
+    checked again here. A is applied once, to x_{t+1}. The estimator is
+    updated in place. When ``diag_ctx`` is given the record carries a
+    DiagnosticsRecord computed for the new state (cost O(n * dim)).
     """
     op, reg, loss = problem.op, problem.reg, problem.loss
     beta, tau, sigma = config.beta, config.tau, config.sigma
     t0 = time.perf_counter()
-    z_next = z_update(state.x, state.u, op, reg, beta)
+    ax = op.apply(state.x) if state.ax is None else state.ax
+    z_next = _z_step(ax, state.u, reg, beta)
     g = estimator.estimate(state.x)
-    x_next = x_update(state.x, z_next, state.u, g, op, tau, beta)
-    u_next = u_update(state.u, x_next, z_next, op, sigma, beta)
+    x_next = _x_step(state.x, ax, z_next, state.u, g, op, tau, beta)
+    ax_next = op.apply(x_next)
+    resid_vec = ax_next - z_next
+    u_next = _u_step(state.u, resid_vec, sigma, beta)
     new_state = SolverState(
-        x=x_next, z=z_next, u=u_next, x_prev=state.x, u_prev=state.u, t=state.t + 1
+        x=x_next, z=z_next, u=u_next, x_prev=state.x, u_prev=state.u, t=state.t + 1,
+        ax=ax_next,
     )
-    resid_vec = op.apply(x_next) - z_next
     residual = float(np.linalg.norm(resid_vec))
-    objective = loss.full_value(x_next) + reg.value(z_next)
-    diag = None
     if diag_ctx is not None:
+        # Before x_{t+1} is scored, while the loss's memo still holds x_t:
+        # the estimator error and SARAH's bounding sequence both take the
+        # exact gradient there.
         err = g - loss.full_gradient(state.x)
         grad_err_sq_prev = float(err @ err)
         upsilon, gamma = estimator.upsilon_gamma(x_next)
+    objective = loss.full_value(x_next) + reg.value(z_next)
+    diag = None
+    if diag_ctx is not None:
         aug = augmented_lagrangian(problem, x_next, z_next, u_next, beta)
         psi = None
         if diag_ctx.consts is not None:
@@ -271,24 +302,35 @@ def run(problem, config, x0=None, spectral=None):
     uniformly from the trace. ``spectral`` (SpectralEstimates) is used by
     the diagnostics when ``diag_every > 0``; when omitted it is estimated
     here with ``config.seed``. A non-finite iterate or recorded objective
-    raises DivergenceError.
+    raises DivergenceError. The loss's memo is dropped when the run returns
+    or raises.
     """
-    loss, op = problem.loss, problem.op
+    loss = problem.loss
     if x0 is None:
         x0 = np.zeros(loss.dim)
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (loss.dim,):
         raise ShapeError(f"x0 must have length {loss.dim}, got shape {x0.shape}")
+    try:
+        return _iterate(problem, config, x0, spectral)
+    finally:
+        loss.drop_memo()
+
+
+def _iterate(problem, config, x0, spectral):
+    loss, op = problem.loss, problem.op
     estimator = init_estimator(config.estimator, loss, x0)
     b_eff = loss.n if config.estimator.kind == "full" else config.estimator.batch_size
     total_iters = config.max_epochs * math.ceil(loss.n / b_eff)
+    ax0 = op.apply(x0)
     state = SolverState(
         x=x0.copy(),
-        z=op.apply(x0),
+        z=ax0.copy(),
         u=np.zeros(op.out_dim),
         x_prev=x0.copy(),
         u_prev=np.zeros(op.out_dim),
         t=0,
+        ax=ax0,
     )
     diag_ctx = (
         _make_diag_context(problem, config, spectral) if config.diag_every > 0 else None
@@ -328,6 +370,8 @@ def run(problem, config, x0=None, spectral=None):
         output = iterates[k]
     else:
         output = (state.x, state.z)
+    # A kept result does not hold the carried A x; a step from it recomputes it.
+    state.ax = None
     return RunResult(trace=trace, output=output, state=state)
 
 

@@ -344,3 +344,31 @@ def test_identical_seeds_give_identical_streams():
         )
         if spec.kind != "sarah":  # sarah's first call ignores the stream
             assert outputs_differ
+
+
+@pytest.mark.parametrize("kind", ["sgd", "saga", "svrg"])
+def test_upsilon_gamma_equals_out_of_place_scatter(kind):
+    # the scatter subtracts and squares in place; the figures must be the
+    # out-of-place formula's, bit for bit, and the table must stay as it was
+    rng = np.random.default_rng(16)
+    loss = quad_loss(rng, n=9, d=4)
+    est = init_estimator(EstimatorSpec(kind, batch_size=2, seed=5), loss, rng.standard_normal(4))
+    for _ in range(4):
+        est.estimate(rng.standard_normal(4))
+    x = rng.standard_normal(4)
+    fresh = FiniteSumLoss(loss.components)
+    if kind == "sgd":
+        other = fresh.full_gradient(x)
+    elif kind == "saga":
+        other = est.phi_grads.copy()
+    else:
+        other = fresh.component_gradients(est.anchor_x)
+    diffs = fresh.component_gradients(x) - other
+    sq = np.add.reduce(diffs * diffs, axis=1)
+    expected = (
+        float(np.add.reduce(sq)) / (2 * 9),
+        float(np.add.reduce(np.sqrt(sq))) / math.sqrt(2 * 9),
+    )
+    assert est.upsilon_gamma(x) == expected
+    if kind == "saga":
+        assert np.array_equal(est.phi_grads, other)

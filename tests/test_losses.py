@@ -275,3 +275,105 @@ def test_dimension_and_index_errors():
         loss.component_gradient(5, [0.0, 0.0])
     with pytest.raises(ShapeError):
         loss.full_gradient([1.0, 2.0, 3.0])
+
+
+def _twin_losses(make, seed):
+    """Two losses over the same components: one to warm, one kept fresh."""
+    loss = make(np.random.default_rng(seed))
+    return loss, FiniteSumLoss(loss.components)
+
+
+def _count_all_row_passes(monkeypatch, loss):
+    """Count the row-dot passes over all n rows of ``loss``."""
+    import sadmm.losses
+
+    calls = []
+    inner = sadmm.losses._row_dots
+
+    def counting(rows, x):
+        if rows.shape[0] == loss.n:
+            calls.append(1)
+        return inner(rows, x)
+
+    monkeypatch.setattr(sadmm.losses, "_row_dots", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        _onehot_sigmoid_loss,
+        _banded_least_squares_loss,
+        lambda rng: random_sigmoid_loss(rng, n=37, d=1),
+        lambda rng: random_least_squares_loss(rng, n=37, d=1),
+    ],
+    ids=["onehot_sigmoid", "banded_least_squares", "d1_sigmoid", "d1_least_squares"],
+)
+def test_scored_point_reuse_matches_fresh_loss_bytes(monkeypatch, make):
+    # after full_value(x) the gradient at x takes no further row dots and
+    # every result equals a fresh loss's byte for byte
+    warm, fresh = _twin_losses(make, 7)
+    passes = _count_all_row_passes(monkeypatch, warm)
+    rng = np.random.default_rng(8)
+    idx = rng.integers(0, warm.n, size=warm.n // 2)
+    for scale in (0.1, 1.0, 30.0):
+        x = scale * rng.standard_normal(warm.dim)
+        assert warm.full_value(x) == fresh.full_value(x)
+        before = len(passes)
+        g = warm.full_gradient(x)
+        assert g.tobytes() == fresh.full_gradient(x).tobytes()
+        assert warm.full_value(x) == fresh.full_value(x)
+        for sel in (idx, None):
+            got = warm.component_gradients(x, sel)
+            assert got.tobytes() == fresh.component_gradients(x, sel).tobytes()
+            got = warm.component_values(x, sel)
+            assert got.tobytes() == fresh.component_values(x, sel).tobytes()
+        assert len(passes) == before
+        # results are the caller's own: changing them leaves the memo intact
+        g[:] = 7.0
+        warm.component_values(x)[:] = 7.0
+        assert warm.full_gradient(x).tobytes() == fresh.full_gradient(x).tobytes()
+        assert warm.full_value(x) == fresh.full_value(x)
+
+
+@pytest.mark.parametrize("make", [_onehot_sigmoid_loss, _banded_least_squares_loss])
+def test_memo_misses_changed_bytes_and_nan(monkeypatch, make):
+    warm, fresh = _twin_losses(make, 9)
+    passes = _count_all_row_passes(monkeypatch, warm)
+    x = np.random.default_rng(10).standard_normal(warm.dim)
+    x[3] = 0.0
+    warm.full_value(x)
+    for change in ("neg_zero", "in_place"):
+        if change == "neg_zero":
+            x[3] = -0.0
+        else:
+            x[5] += 1e-3
+        before = len(passes)
+        got = warm.full_gradient(x)
+        assert len(passes) == before + 1
+        assert got.tobytes() == fresh.full_gradient(x).tobytes()
+    with np.errstate(invalid="ignore"):
+        x[0] = np.nan
+        warm.full_value(x)
+        before = len(passes)
+        assert np.isnan(warm.full_gradient(x)).all()
+    assert len(passes) == before + 1
+
+
+def test_drop_memo_keeps_results():
+    rng = np.random.default_rng(11)
+    loss = random_sigmoid_loss(rng, 20, 4)
+    x = rng.standard_normal(4)
+    value, grad = loss.full_value(x), loss.full_gradient(x)
+    loss.drop_memo()
+    assert loss.full_value(x) == value
+    assert np.array_equal(loss.full_gradient(x), grad)
+
+
+def test_lipschitz_bound_loops_over_components_once(monkeypatch):
+    rng = np.random.default_rng(12)
+    loss = random_least_squares_loss(rng, 6, 3)
+    first = loss.lipschitz_bound()
+    monkeypatch.setattr(loss, "components", None)
+    again = loss.lipschitz_bound()
+    assert again is not first and again.L == first.L

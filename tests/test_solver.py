@@ -466,3 +466,96 @@ def test_run_with_diagnostics_on_singular_operator_disables_psi():
     assert all(r.diag is not None for r in result.trace)
     assert all(r.diag.psi is None for r in result.trace)
     assert all(r.diag.aug_lagrangian is not None for r in result.trace)
+
+
+def _count_calls(monkeypatch, owner, name, keep=lambda *args: True):
+    calls = []
+    inner = getattr(owner, name)
+
+    def counting(*args):
+        if keep(*args):
+            calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_full_run_takes_one_all_rows_pass_per_iteration(monkeypatch):
+    # each iterate's scoring pass feeds the next full gradient: T + 1 passes
+    # over all rows for T iterations, not 2T
+    import sadmm.losses
+
+    problem = small_problem(seed=14)
+    n = problem.loss.n
+    passes = _count_calls(
+        monkeypatch, sadmm.losses, "_row_dots", lambda rows, x: rows.shape[0] == n
+    )
+    config = SolverConfig(
+        beta=1.0, tau=4.0, sigma=0.9, estimator=EstimatorSpec("full"),
+        max_epochs=12, residual_tol=math.inf,
+    )
+    result = run(problem, config)
+    assert len(result.trace) == 12
+    assert len(passes) == 12 + 1
+
+
+def test_run_applies_the_operator_once_per_step(monkeypatch):
+    problem, _ = build_toy_reconstruction(8, 8, seed=1)
+    applies = _count_calls(monkeypatch, problem.op, "apply")
+    adjoints = _count_calls(monkeypatch, problem.op, "adjoint")
+    config = SolverConfig(
+        beta=0.1, tau=0.65, sigma=0.95,
+        estimator=EstimatorSpec("saga", batch_size=8, seed=2),
+        max_epochs=2, residual_tol=math.inf,
+    )
+    result = run(problem, config)
+    iters = len(result.trace)
+    assert iters == 2 * 64 // 8
+    assert len(applies) == iters + 1
+    assert len(adjoints) == iters
+    # the carried A x is A x bit for bit, and a step without it computes it
+    est = init_estimator(config.estimator, problem.loss, result.state.x)
+    new_state, _ = step(result.state, problem, config, est)
+    assert np.array_equal(new_state.ax, problem.op.apply(new_state.x))
+
+
+def test_sarah_diagnostics_take_one_exact_gradient_per_iteration(monkeypatch):
+    # the estimator error and SARAH's bounding sequence are both taken at
+    # x_t; the memo serves the second from the first
+    import sadmm.losses
+
+    problem = generate_synthetic_quadratic(200, 20, seed=3)
+    passes = _count_calls(
+        monkeypatch, sadmm.losses, "_row_dots", lambda rows, x: rows.shape[0] == 200
+    )
+    column_sums = _count_calls(monkeypatch, sadmm.losses, "_column_mean")
+    spec = EstimatorSpec("sarah", batch_size=10, restart_p=1e9, seed=4)
+    config = SolverConfig(
+        beta=1.0, tau=3.0, sigma=0.95, estimator=spec, max_epochs=1,
+        diag_every=1, seed=4,
+    )
+    result = run(problem, config)
+    assert len(result.trace) == 20
+    assert all(r.diag is not None and r.diag.psi is not None for r in result.trace)
+    # one pass at x0, then one scoring pass per iterate
+    assert len(passes) == 1 + 20
+    assert len(column_sums) <= 21
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_run_drops_the_loss_memo_on_return_and_on_divergence():
+    problem = small_problem(seed=13)
+    config = SolverConfig(
+        beta=1.0, tau=4.0, sigma=0.9, estimator=EstimatorSpec("full"), max_epochs=3
+    )
+    run(problem, config)
+    assert problem.loss._memo is None
+
+    # as in test_run_reports_divergence_on_non_finite_objective: the
+    # objective overflows at the first iterate, after it was scored
+    loss = FiniteSumLoss([LeastSquaresComponent([1.0], 0.0)])
+    overflow = Problem(loss=loss, reg=L1(0.1), op=Identity(1), name="overflow")
+    with pytest.raises(DivergenceError):
+        run(overflow, config, x0=np.array([1e155]))
+    assert loss._memo is None
