@@ -17,6 +17,8 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import suppress
 
 import numpy as np
 
@@ -32,7 +34,7 @@ from .exceptions import (
 )
 from .libsvm import parse_libsvm
 from .linops import estimate_spectral
-from .losses import FiniteSumLoss, SigmoidComponent
+from .losses import FiniteSumLoss
 from .solver import run, validate_params
 from .trace import format_float, write_trace
 
@@ -97,9 +99,7 @@ def _machine_block(report):
 def _test_split_lines(run_config, problem, x):
     """Held-out evaluation: objective with regularizer and plain mean loss."""
     data = parse_libsvm(run_config.test_data, n_features=problem.loss.dim)
-    dense = np.asarray(data.features.todense(), dtype=float)
-    comps = [SigmoidComponent(dense[i], data.labels[i]) for i in range(data.n)]
-    test_loss = FiniteSumLoss(comps)
+    test_loss = FiniteSumLoss.from_rows("sigmoid", data.features.todense(), data.labels)
     mean_loss = test_loss.full_value(x)
     with_reg = mean_loss + problem.reg.value(problem.op.apply(x))
     return [
@@ -129,19 +129,7 @@ def cmd_solve(config_path):
     write_trace(run_config.trace_path, result.trace, with_diagnostics=config.diag_every > 0)
     if run_config.plot_data:
         stem, _ = os.path.splitext(run_config.trace_path)
-        _write_bench_csv(
-            f"{stem}_plotdata.csv",
-            [
-                {
-                    "label": run_config.label,
-                    "seed": config.seed,
-                    "rows": [
-                        (r.epoch, r.objective, r.primal_residual) for r in result.trace
-                    ],
-                    "error": None,
-                }
-            ],
-        )
+        _write_bench_csv(f"{stem}_plotdata.csv", [_run_bundle(run_config, result.trace)])
     final = result.trace[-1]
     print(
         f"finished: {final.iter} iterations, objective {final.objective:.17g}, "
@@ -178,18 +166,36 @@ def _bench_worker(config_path):
     """Run one bench member; returns a row bundle (never raises)."""
     try:
         run_config = load_run_config(config_path)
-        problem = build_problem(run_config)
-        result = run(problem, run_config.solver)
-        rows = [(r.epoch, r.objective, r.primal_residual) for r in result.trace]
-        return {
-            "label": run_config.label,
-            "seed": run_config.solver.seed,
-            "rows": rows,
-            "error": None,
-        }
+        result = run(build_problem(run_config), run_config.solver)
+        return _run_bundle(run_config, result.trace)
     except Exception as exc:  # noqa: BLE001 - member failures become rows
-        label = os.path.splitext(os.path.basename(config_path))[0]
-        return {"label": label, "seed": -1, "rows": [], "error": str(exc)}
+        return _error_bundle(config_path, str(exc))
+
+
+def _run_bundle(run_config, trace):
+    rows = [(r.epoch, r.objective, r.primal_residual) for r in trace]
+    return {"label": run_config.label, "seed": run_config.solver.seed, "rows": rows, "error": None}
+
+
+def _error_bundle(config_path, message):
+    label = os.path.splitext(os.path.basename(config_path))[0]
+    return {"label": label, "seed": -1, "rows": [], "error": message}
+
+
+def _pool_bundles(paths, workers):
+    """Run the members in a process pool; those a dead worker lost are error rows."""
+    futures = []
+    with ProcessPoolExecutor(max_workers=workers) as pool, suppress(BrokenProcessPool):
+        for path in paths:
+            futures.append(pool.submit(_bench_worker, path))
+    bundles = []
+    for path, future in zip(paths, futures):
+        try:
+            bundles.append(future.result())
+        except BrokenProcessPool as exc:
+            bundles.append(_error_bundle(path, f"worker process died: {exc}"))
+    lost = paths[len(futures):]
+    return bundles + [_error_bundle(p, "not run: a worker process died") for p in lost]
 
 
 def _write_bench_csv(path, bundles):
@@ -259,8 +265,7 @@ def cmd_bench(config_dir, out_path, summary=False):
     if workers == 1:
         bundles = [_bench_worker(p) for p in paths]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            bundles = list(pool.map(_bench_worker, paths))
+        bundles = _pool_bundles(paths, workers)
     for path, bundle in zip(paths, bundles):
         if bundle["error"] is not None:
             print(f"run failed: {path}: {bundle['error']}", file=sys.stderr)

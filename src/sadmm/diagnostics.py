@@ -110,8 +110,12 @@ def stability_psi(problem, state, consts, upsilon, grad_err_sq_prev, beta, sigma
     """
     if consts.lambda_m <= 0:
         raise DiagnosticUndefinedError("stability function undefined for lambda_m <= 0")
-    op = problem.op
     lb = augmented_lagrangian(problem, state.x, state.z, state.u, beta)
+    return _psi(lb, problem.op, state, consts, upsilon, grad_err_sq_prev, beta, sigma, rho)
+
+
+def _psi(lb, op, state, consts, upsilon, grad_err_sq_prev, beta, sigma, rho):
+    """``stability_psi`` given the augmented Lagrangian ``lb`` at the state."""
     coupling = op.adjoint(state.u - state.u_prev) + sigma * apply_B(
         state.x - state.x_prev, op, consts.tau, beta
     )

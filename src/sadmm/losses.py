@@ -1,33 +1,30 @@
 """Finite-sum smooth losses with per-component values and gradients.
 
-The smooth term is an average H(x) = (1/n) sum_i H_i(x); stochastic
-estimators need per-component gradients, so every component exposes its
-own value/gradient pair and the container offers vectorized block
-evaluation. Two component families are provided: the sigmoid
-classification loss 1 / (1 + exp(b <a, x>)) and the squared residual
-(<r, x> - b)^2.
+The smooth term is an average H(x) = (1/n) sum_i H_i(x) of sigmoid
+losses 1 / (1 + exp(b <a, x>)) or squared residuals (<r, x> - b)^2, so
+gradient i is a scalar c_i times row i. A loss is one row store
+``(kind, rows, targets)``: builders hand it to ``FiniteSumLoss.from_rows``,
+and ``FiniteSumLoss(components)`` packs a list of one kind into it. Its
+components are views of its rows, built on first use; a list mixing both
+kinds keeps a per-component loop.
 
-Both families are generalized linear: gradient i is a scalar c_i times
-row i. Two einsum kernels keep the reduction order fixed. Row dots reduce
-each row with splits that depend only on its length, so single-component
-and block evaluations are bit-identical. The weighted column sum of
-c_i * row i adds the rows in ascending order, exactly as the axis-0
-reduce of the n x d gradient table does, so ``full_gradient`` is the
-exact mean of the component gradients without building that table. With
-d = 1 that reduce is pairwise, and the vector c_i r_i is reduced instead.
+All evaluations run the kernels ``_link``, ``_values`` and
+``_coefficients`` (the c_i), keyed by kind; a component runs them on a
+one-row block. Row dots are row-consistent, so single-component and block
+evaluations are bit-identical, and ``full_gradient`` is the exact mean of
+the component gradients without an n x d table (``_column_mean``).
 
-A packed loss keeps a one-entry memo of the last point an all-rows pass
-saw: the per-row link terms there (sigmoid pair or residual, from which
-both values and c_i follow elementwise), and the full value and gradient
-once computed. The solver scores x_{t+1} with ``full_value`` and takes
-the next full gradient at that same point, which then costs only the
+A row-store loss keeps a one-entry memo of the last point an all-rows
+pass saw: the link terms of every row there, and the full value and
+gradient once computed. The solver scores x_{t+1} with ``full_value`` and
+takes the next full gradient at that point, which then costs only the
 column sum. The memo is keyed by the bytes of x, so -0.0 and 0.0 differ,
-an array changed in place misses and a point with a NaN is never kept.
-A hit returns exactly what a fresh evaluation returns, bit for bit,
-because row dots are row-consistent and the link is elementwise.
+an array changed in place misses and a point with a NaN is never kept. A
+hit returns exactly what a fresh evaluation returns, bit for bit.
 ``solver.run`` drops the memo when it returns or raises.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -64,6 +61,32 @@ def _logistic_pair(s):
     return np.where(pos, big, small), np.where(pos, small, big)
 
 
+def _link(kind, rows, targets, x):
+    """Per-row link terms at x: the logistic pair (p, q) of the sigmoid
+    margins, or the least-squares residuals as a 1-tuple."""
+    s = _row_dots(rows, x)
+    if kind == "sigmoid":
+        return _logistic_pair(targets * s)
+    return (s - targets,)
+
+
+def _values(kind, terms):
+    return terms[1] if kind == "sigmoid" else terms[0] ** 2
+
+
+def _coefficients(kind, terms, targets):
+    """Per-row gradient coefficients c_i from the link terms."""
+    if kind == "sigmoid":
+        p, q = terms
+        return -targets * p * q
+    return 2.0 * terms[0]
+
+
+def _check_targets(kind, targets):
+    if kind == "sigmoid" and not np.all(np.abs(targets) == 1.0):
+        raise ShapeError("sigmoid labels must be -1 or +1")
+
+
 def _column_mean(coef, rows):
     """(1/n) sum_i coef_i * row i, adding the rows in ascending order.
 
@@ -75,60 +98,46 @@ def _column_mean(coef, rows):
     return np.einsum("i,ij->j", coef, rows) / rows.shape[0]
 
 
-class SigmoidComponent:
+class _RowComponent:
+    """One row and its target, evaluated bit for bit as by the loss kernels."""
+
+    def __init__(self, row, b):
+        row = np.asarray(row, dtype=float)
+        if row.ndim != 1:
+            raise ShapeError(f"{self.kind} row must be 1-D")
+        self.row, self.b = row, float(b)
+        _check_targets(self.kind, self.b)
+
+    dim = property(lambda self: self.row.shape[0])
+
+    def _terms(self, x):
+        return _link(self.kind, self.row[None, :], self.b, np.asarray(x, dtype=float))
+
+    def value(self, x):
+        return float(_values(self.kind, self._terms(x))[0])
+
+    def gradient(self, x):
+        coef = _coefficients(self.kind, self._terms(x), self.b)
+        return (coef[:, None] * self.row[None, :])[0]
+
+
+class SigmoidComponent(_RowComponent):
     """Sigmoid loss 1 / (1 + exp(b <a, x>)) for one labeled sample."""
 
     kind = "sigmoid"
-
-    def __init__(self, a, b):
-        self.a = np.asarray(a, dtype=float)
-        if self.a.ndim != 1:
-            raise ShapeError("feature vector must be 1-D")
-        b = float(b)
-        if b not in (-1.0, 1.0):
-            raise ShapeError(f"sigmoid label must be -1 or +1, got {b}")
-        self.b = b
-
-    @property
-    def dim(self):
-        return self.a.shape[0]
-
-    def value(self, x):
-        s = self.b * float(_row_dots(self.a[None, :], np.asarray(x, dtype=float))[0])
-        return float(_logistic_pair(np.array([s]))[1][0])
-
-    def gradient(self, x):
-        x = np.asarray(x, dtype=float)
-        s = self.b * _row_dots(self.a[None, :], x)
-        p, q = _logistic_pair(s)
-        coef = -self.b * p * q
-        return (coef[:, None] * self.a[None, :])[0]
+    curvature = SIGMOID_CURVATURE  # gradient Lipschitz constant / ||a||^2
+    a = property(lambda self: self.row)
 
 
-class LeastSquaresComponent:
+class LeastSquaresComponent(_RowComponent):
     """Squared residual (<r, x> - b)^2 for one measurement row."""
 
     kind = "least_squares"
+    curvature = 2.0
+    r = property(lambda self: self.row)
 
-    def __init__(self, r, b):
-        self.r = np.asarray(r, dtype=float)
-        if self.r.ndim != 1:
-            raise ShapeError("measurement row must be 1-D")
-        self.b = float(b)
 
-    @property
-    def dim(self):
-        return self.r.shape[0]
-
-    def value(self, x):
-        s = float(_row_dots(self.r[None, :], np.asarray(x, dtype=float))[0])
-        return (s - self.b) ** 2
-
-    def gradient(self, x):
-        x = np.asarray(x, dtype=float)
-        s = _row_dots(self.r[None, :], x)
-        coef = 2.0 * (s - self.b)
-        return (coef[:, None] * self.r[None, :])[0]
+_COMPONENTS = {"sigmoid": SigmoidComponent, "least_squares": LeastSquaresComponent}
 
 
 class LipschitzBound:
@@ -144,14 +153,16 @@ class LipschitzBound:
 class FiniteSumLoss:
     """Average of n smooth components sharing one input dimension.
 
-    When all components are of the same kind the per-component data is
-    packed into matrices and block evaluations are vectorized; mixed
-    collections fall back to a per-component loop with identical results.
-    The components are immutable and every evaluation is pure: its result
-    depends on x alone. A packed loss also keeps the one-point memo of the
-    module docstring, replaced as one tuple; a hit returns exactly what a
-    fresh evaluation would, and ``drop_memo`` releases it.
+    A loss of one kind owns its row store as read-only arrays; a mixed-kind
+    loss loops over its components. ``components`` is the list given, or
+    after ``from_rows`` a tuple of views of the rows. Every evaluation is
+    pure: its result depends on x alone. The memo of the module docstring
+    is replaced as one tuple, and ``drop_memo`` releases it.
     """
+
+    _kind = _rows = _targets = None  # no row store: a mixed-kind loss
+    _lipschitz = None
+    _memo = None  # (key, link terms of all rows, full value or None, full gradient or None)
 
     def __init__(self, components):
         components = tuple(components)
@@ -161,18 +172,41 @@ class FiniteSumLoss:
         for c in components:
             if c.dim != dim:
                 raise ShapeError(f"all components must share dim {dim}, got {c.dim}")
-        self.components = components
-        self.n = len(components)
-        self.dim = dim
         kinds = {c.kind for c in components}
-        self._kind = kinds.pop() if len(kinds) == 1 else None
-        self._rows = self._targets = None
-        if self._kind in ("sigmoid", "least_squares"):
-            self._rows = np.vstack([c.a if self._kind == "sigmoid" else c.r for c in components])
-            self._targets = np.array([c.b for c in components])
-        # (key, link terms of every row, full value or None, full gradient or None)
-        self._memo = None
-        self._lipschitz = None
+        if len(kinds) == 1 and kinds <= _COMPONENTS.keys():
+            self._set_rows(kinds.pop(), [c.row for c in components], [c.b for c in components])
+        else:
+            self.n, self.dim = len(components), dim
+        self.components = components
+
+    @classmethod
+    def from_rows(cls, kind, rows, targets):
+        """Loss of one kind ("sigmoid" or "least_squares") over the rows of
+        an n x d array and n targets, of which it keeps a read-only copy.
+        Raises ShapeError for an unknown kind, rows that are not a non-empty
+        2-D array, a target count other than n or a sigmoid label not +-1.
+        """
+        return cls.__new__(cls)._set_rows(kind, rows, targets)
+
+    def _set_rows(self, kind, rows, targets):
+        if kind not in _COMPONENTS:
+            raise ShapeError(f"unknown loss kind {kind!r}")
+        rows = np.array(rows, dtype=float, order="C")
+        if rows.ndim != 2 or rows.shape[0] == 0:
+            raise ShapeError(f"rows must be a non-empty 2-D array, got shape {rows.shape}")
+        targets = np.array(targets, dtype=float)
+        if targets.shape != rows.shape[:1]:
+            raise ShapeError(f"need {rows.shape[0]} targets, got shape {targets.shape}")
+        _check_targets(kind, targets)
+        rows.flags.writeable = targets.flags.writeable = False
+        self._kind, self._rows, self._targets = kind, rows, targets
+        self.n, self.dim = rows.shape
+        return self
+
+    @functools.cached_property
+    def components(self):
+        """One component view per row, sharing the loss's read-only rows."""
+        return tuple(map(_COMPONENTS[self._kind], self._rows, self._targets))
 
     def _check_x(self, x):
         x = np.asarray(x, dtype=float)
@@ -188,47 +222,24 @@ class FiniteSumLoss:
             raise IndexError(f"component index out of range [0, {self.n})")
         return idx
 
-    def _selected(self, idx):
-        if idx is None:
-            return self._rows, self._targets
-        return self._rows[idx], self._targets[idx]
-
-    def _link(self, x, rows, targets):
-        """Per-row link terms at x: the logistic pair (p, q) of the sigmoid
-        margins, or the least-squares residuals as a 1-tuple."""
-        s = _row_dots(rows, x)
-        if self._kind == "sigmoid":
-            return _logistic_pair(targets * s)
-        return (s - targets,)
-
-    def _values(self, terms):
-        return terms[1] if self._kind == "sigmoid" else terms[0] ** 2
-
-    def _coefficients(self, terms, targets):
-        """Per-row gradient coefficients c_i from the link terms."""
-        if self._kind == "sigmoid":
-            p, q = terms
-            return -targets * p * q
-        return 2.0 * terms[0]
-
     def _all_rows(self, x):
         """The memo at x; on a miss, one all-rows pass replaces it."""
-        key = x.tobytes()
-        memo = self._memo
+        key, memo = x.tobytes(), self._memo
         if memo is None or memo[0] != key:
-            terms = self._link(x, self._rows, self._targets)
+            terms = _link(self._kind, self._rows, self._targets, x)
             if math.isnan(terms[-1][0]):
                 key = None  # a NaN in x makes every row dot NaN; None never matches
             memo = self._memo = (key, terms, None, None)
         return memo
 
-    def _selected_terms(self, x, idx, rows, targets):
+    def _block(self, x, idx):
+        """Rows, targets and link terms at x of the selected components."""
         if idx is None:
-            return self._all_rows(x)[1]
-        memo = self._memo
+            return self._rows, self._targets, self._all_rows(x)[1]
+        rows, targets, memo = self._rows[idx], self._targets[idx], self._memo
         if memo is not None and memo[0] == x.tobytes():
-            return tuple([t[idx] for t in memo[1]])
-        return self._link(x, rows, targets)
+            return rows, targets, tuple([t[idx] for t in memo[1]])
+        return rows, targets, _link(self._kind, rows, targets, x)
 
     def drop_memo(self):
         """Release the memo; later results are unchanged."""
@@ -239,8 +250,7 @@ class FiniteSumLoss:
         x = self._check_x(x)
         idx = self._check_idx(idx)
         if self._rows is not None:
-            rows, targets = self._selected(idx)
-            values = self._values(self._selected_terms(x, idx, rows, targets))
+            values = _values(self._kind, self._block(x, idx)[2])
             # all the sigmoid values are the memo's own array
             return values.copy() if idx is None and self._kind == "sigmoid" else values
         members = self.components if idx is None else [self.components[i] for i in idx]
@@ -251,9 +261,8 @@ class FiniteSumLoss:
         x = self._check_x(x)
         idx = self._check_idx(idx)
         if self._rows is not None:
-            rows, targets = self._selected(idx)
-            terms = self._selected_terms(x, idx, rows, targets)
-            return self._coefficients(terms, targets)[:, None] * rows
+            rows, targets, terms = self._block(x, idx)
+            return _coefficients(self._kind, terms, targets)[:, None] * rows
         members = self.components if idx is None else [self.components[i] for i in idx]
         return np.stack([c.gradient(x) for c in members])
 
@@ -269,39 +278,36 @@ class FiniteSumLoss:
             return float(np.add.reduce(self.component_values(x)) / self.n)
         key, terms, value, grad = self._all_rows(self._check_x(x))
         if value is None:
-            value = float(np.add.reduce(self._values(terms)) / self.n)
+            value = float(np.add.reduce(_values(self._kind, terms)) / self.n)
             self._memo = (key, terms, value, grad)
         return value
 
     def full_gradient(self, x):
         """(1/n) sum of component gradients, bit for bit their axis-0 reduce.
 
-        Packed losses take the column mean of c_i * row i (``_column_mean``);
-        mixed ones reduce the stack.
+        Row-store losses take the column mean of c_i * row i
+        (``_column_mean``); mixed ones reduce the stack.
         """
         if self._rows is None:
             return np.add.reduce(self.component_gradients(x), axis=0) / self.n
         key, terms, value, grad = self._all_rows(self._check_x(x))
         if grad is None:
-            grad = _column_mean(self._coefficients(terms, self._targets), self._rows)
+            grad = _column_mean(_coefficients(self._kind, terms, self._targets), self._rows)
             self._memo = (key, terms, value, grad)
         return grad.copy()
 
     def lipschitz_bound(self):
-        """Certified gradient Lipschitz constant.
+        """Certified gradient Lipschitz constant, computed once per loss.
 
         Sigmoid components contribute SIGMOID_CURVATURE * ||a||^2 and
-        squared residuals 2 * ||r||^2; the bound is the maximum
-        contribution. The loop over the components runs once per loss.
+        squared residuals 2 * ||r||^2 (per-row BLAS dots); the bound is the
+        maximum, and a row store scales its largest squared norm, the same
+        float because rounding is monotone.
         """
         if self._lipschitz is None:
-            best = 0.0
-            for c in self.components:
-                if c.kind == "sigmoid":
-                    best = max(best, SIGMOID_CURVATURE * float(c.a @ c.a))
-                elif c.kind == "least_squares":
-                    best = max(best, 2.0 * float(c.r @ c.r))
-                else:
-                    raise ShapeError(f"unknown component kind {c.kind!r}")
-            self._lipschitz = best
+            if self._rows is not None:
+                scale = _COMPONENTS[self._kind].curvature
+                self._lipschitz = scale * max(float(r @ r) for r in self._rows)
+            else:
+                self._lipschitz = max(c.curvature * float(c.row @ c.row) for c in self.components)
         return LipschitzBound(self._lipschitz)

@@ -16,7 +16,7 @@ import scipy.sparse as sp
 
 from .exceptions import DataError, ParameterError, ShapeError
 from .linops import DenseMatrix, FiniteDifference2D, Identity, VerticalStack
-from .losses import FiniteSumLoss, LeastSquaresComponent, SigmoidComponent
+from .losses import FiniteSumLoss
 from .regularizers import L0, L1
 from .rng import DOMAIN_MASK, DOMAIN_NOISE, DOMAIN_PROBLEM, substream
 
@@ -102,34 +102,28 @@ def build_graph(data, rho_c):
         corr = np.where(denom > 0, cov / denom, 0.0)
     snap = np.abs(corr) >= 1.0 - 1e-12
     corr = np.where(snap, np.sign(corr), corr)
-    edges = []
-    for i in range(data.d):
-        for j in range(i + 1, data.d):
-            if abs(corr[i, j]) >= rho_c:
-                edges.append((i, j))
-    return GraphSpec(edges=tuple(edges), rho_c=rho_c)
+    first, second = np.nonzero(np.triu(np.abs(corr) >= rho_c, 1))
+    return GraphSpec(edges=tuple(zip(first.tolist(), second.tolist())), rho_c=rho_c)
 
 
 def build_fused_lasso(data, lambda1=1e-5, graph=None, name="fused_lasso"):
     """Sigmoid-loss classification with an L1 penalty on [G; I] x.
 
-    G holds one row e_i - e_j per graph edge; with an empty graph the
-    operator degenerates to the identity and the penalty is a plain L1.
+    The loss is the row store of the dense samples and their labels. G holds
+    one row e_i - e_j per graph edge; with an empty graph it is omitted.
     """
     labels = np.asarray(data.labels, dtype=float)
     if not set(np.unique(labels)) <= {-1.0, 1.0}:
         raise DataError("fused lasso needs binary labels in {-1, +1}")
     if lambda1 <= 0:
         raise ParameterError(f"lambda1 must be positive, got {lambda1}")
-    dense = np.asarray(data.features.todense(), dtype=float)
-    components = [SigmoidComponent(dense[i], labels[i]) for i in range(data.n)]
-    loss = FiniteSumLoss(components)
+    loss = FiniteSumLoss.from_rows("sigmoid", data.features.todense(), labels)
     edges = graph.edges if graph is not None else ()
     if edges:
+        pairs, k = np.array(edges), np.arange(len(edges))
         g_rows = np.zeros((len(edges), data.d))
-        for k, (i, j) in enumerate(edges):
-            g_rows[k, i] = 1.0
-            g_rows[k, j] = -1.0
+        g_rows[k, pairs[:, 0]] = 1.0
+        g_rows[k, pairs[:, 1]] = -1.0
         op = VerticalStack([DenseMatrix(g_rows), Identity(data.d)])
     else:
         op = Identity(data.d)
@@ -179,9 +173,10 @@ def build_toy_reconstruction(
     """Image reconstruction from blurred or subsampled pixels.
 
     The ground truth is a random rectangle phantom; measurements are inner
-    products with the forward rows plus Gaussian noise; the sparsity
-    transform is the 2-D forward-difference operator. Returns the Problem
-    and the flattened ground-truth image.
+    products with the forward rows plus Gaussian noise, and the loss is the
+    row store of those rows and measurements. The sparsity transform is the
+    2-D forward-difference operator. Returns the Problem and the flattened
+    ground-truth image.
     """
     if height < 8 or width < 8:
         raise ParameterError("phantom needs at least 8x8 pixels")
@@ -200,14 +195,11 @@ def build_toy_reconstruction(
     if forward == "blur":
         if radius < 0:
             raise ParameterError("blur radius must be nonnegative")
-        rows = np.zeros((d, d))
-        for i in range(height):
-            for j in range(width):
-                r0, r1 = max(0, i - radius), min(height, i + radius + 1)
-                c0, c1 = max(0, j - radius), min(width, j + radius + 1)
-                window = np.zeros((height, width))
-                window[r0:r1, c0:c1] = 1.0 / ((r1 - r0) * (c1 - c0))
-                rows[i * width + j] = window.ravel()
+        # pixel (i, j) averages its (2 radius + 1)^2 window, clipped at the border
+        near_r, near_c = (np.abs(np.subtract.outer(np.arange(m), np.arange(m))) <= radius
+                          for m in (height, width))
+        counts = np.outer(near_r.sum(axis=1), near_c.sum(axis=1)).ravel()
+        rows = np.kron(near_r, near_c) / counts[:, None]
     else:
         if not 0 < keep <= 1:
             raise ParameterError(f"keep fraction must lie in (0, 1], got {keep}")
@@ -219,8 +211,7 @@ def build_toy_reconstruction(
     clean = rows @ truth
     noise = noise_sigma * substream(seed, DOMAIN_NOISE, 0).standard_normal(len(clean))
     b = clean + noise
-    components = [LeastSquaresComponent(rows[i], b[i]) for i in range(len(b))]
-    loss = FiniteSumLoss(components)
+    loss = FiniteSumLoss.from_rows("least_squares", rows, b)
     op = FiniteDifference2D(height, width)
     reg = L1(lam) if reg_kind == "l1" else L0(lam)
     metadata = {
@@ -244,9 +235,9 @@ def generate_synthetic_quadratic(n, d, seed=0, conditioning=1.0):
     """Seeded least-squares instance with controlled row-norm spread.
 
     Rows are Gaussian, normalized, then scaled so the max/min row-norm
-    ratio equals ``conditioning``. The regularizer is L1(0.1) and the
-    operator is the identity; the unregularized minimizer is kept in the
-    metadata.
+    ratio equals ``conditioning``; with Gaussian targets they are the loss's
+    row store. The regularizer is L1(0.1) and the operator is the
+    identity; the unregularized minimizer is kept in the metadata.
     """
     if n < 1 or d < 1:
         raise ParameterError("n and d must be positive")
@@ -264,8 +255,7 @@ def generate_synthetic_quadratic(n, d, seed=0, conditioning=1.0):
     rows = rows * scales[:, None]
     b = rng.standard_normal(n)
     smooth_min, *_ = np.linalg.lstsq(rows, b, rcond=None)
-    components = [LeastSquaresComponent(rows[i], b[i]) for i in range(n)]
-    loss = FiniteSumLoss(components)
+    loss = FiniteSumLoss.from_rows("least_squares", rows, b)
     metadata = {
         "seed": seed,
         "conditioning": conditioning,

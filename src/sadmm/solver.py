@@ -24,9 +24,9 @@ import numpy as np
 
 from .diagnostics import (
     DiagnosticsRecord,
+    _psi,
     augmented_lagrangian,
     stability_constants,
-    stability_psi,
 )
 from .estimators import (
     EstimatorSpec,
@@ -231,16 +231,8 @@ def step(state, problem, config, estimator, diag_ctx=None):
         aug = augmented_lagrangian(problem, x_next, z_next, u_next, beta)
         psi = None
         if diag_ctx.consts is not None:
-            psi = stability_psi(
-                problem,
-                new_state,
-                diag_ctx.consts,
-                upsilon,
-                grad_err_sq_prev,
-                beta,
-                sigma,
-                diag_ctx.rho,
-            )
+            psi = _psi(aug, op, new_state, diag_ctx.consts, upsilon, grad_err_sq_prev,
+                       beta, sigma, diag_ctx.rho)
         diag = DiagnosticsRecord(aug, psi, residual, upsilon, gamma, grad_err_sq_prev)
     wall_ms = (time.perf_counter() - t0) * 1000.0
     record = IterationRecord(

@@ -313,6 +313,70 @@ def test_bench_parallel_workers(tmp_path, monkeypatch):
     assert {r["seed"] for r in rows} == {"0", "1", "2"}
 
 
+def test_bench_survives_a_dead_worker(tmp_path, monkeypatch, capsys):
+    # the member with seed 1 kills its worker process; the bench still
+    # writes a row for every member and applies the usual exit rule
+    import sadmm.cli
+
+    monkeypatch.setenv("SADMM_THREADS", "2")
+    parent, real_run = os.getpid(), sadmm.cli.run
+
+    def dying_run(problem, config, *args, **kwargs):
+        if config.seed == 1 and os.getpid() != parent:
+            os._exit(3)
+        return real_run(problem, config, *args, **kwargs)
+
+    monkeypatch.setattr(sadmm.cli, "run", dying_run)
+    bench_dir = tmp_path / "bench"
+    bench_dir.mkdir()
+    for seed in range(3):
+        write_config(
+            bench_dir / f"run{seed}.ini",
+            BASE_SYNTH.format(trace="unused.csv").replace("seed = 11", f"seed = {seed}"),
+        )
+    out_csv = tmp_path / "out.csv"
+    rc = main(["bench", str(bench_dir), "-o", str(out_csv)])
+    lines = out_csv.read_text().splitlines()
+    failed = {line.split(",")[0] for line in lines if line.endswith(",-1,nan,nan,nan")}
+    done = {r["seed"] for r in csv.DictReader(lines) if r["seed"] != "-1"}
+    assert "run1" in failed and "1" not in done
+    assert len(failed) + len(done) == 3
+    assert rc == (1 if len(failed) == 3 else 0)
+    assert "run1" in capsys.readouterr().err
+
+
+def test_bench_members_left_unqueued_by_a_broken_pool_become_error_rows(monkeypatch):
+    # a worker can die while members are still being queued: submit then
+    # raises, and the members not queued are reported, not lost
+    from concurrent.futures import Future
+    from concurrent.futures.process import BrokenProcessPool
+
+    import sadmm.cli
+
+    class HalfBrokenPool:
+        def __init__(self, max_workers):
+            self.queued = 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, path):
+            self.queued += 1
+            if self.queued > 1:
+                raise BrokenProcessPool("worker died")
+            done = Future()
+            done.set_result({"label": "first", "seed": 0, "rows": [], "error": None})
+            return done
+
+    monkeypatch.setattr(sadmm.cli, "ProcessPoolExecutor", HalfBrokenPool)
+    bundles = sadmm.cli._pool_bundles(["a/one.ini", "a/two.ini", "a/three.ini"], 2)
+    assert [b["label"] for b in bundles] == ["first", "two", "three"]
+    assert [b["error"] is None for b in bundles] == [True, False, False]
+
+
 def test_plot_data_toggle_writes_long_format(tmp_path):
     trace = tmp_path / "t.csv"
     body = BASE_SYNTH.format(trace=trace) + "plot_data = true\nlabel = demo\n"

@@ -377,3 +377,87 @@ def test_lipschitz_bound_loops_over_components_once(monkeypatch):
     monkeypatch.setattr(loss, "components", None)
     again = loss.lipschitz_bound()
     assert again is not first and again.L == first.L
+
+
+def _row_store_twin(loss):
+    """The same loss rebuilt by ``from_rows`` from its components' arrays."""
+    comps = loss.components
+    rows = np.vstack([c.row for c in comps])
+    return FiniteSumLoss.from_rows(comps[0].kind, rows, [c.b for c in comps])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        _onehot_sigmoid_loss,
+        _banded_least_squares_loss,
+        lambda rng: random_sigmoid_loss(rng, n=37, d=1),
+        lambda rng: random_least_squares_loss(rng, n=37, d=1),
+    ],
+    ids=["onehot_sigmoid", "banded_least_squares", "d1_sigmoid", "d1_least_squares"],
+)
+def test_from_rows_matches_components_bytes(make):
+    packed = make(np.random.default_rng(13))
+    store = _row_store_twin(packed)
+    assert (store.n, store.dim) == (packed.n, packed.dim)
+    rng = np.random.default_rng(14)
+    idx = rng.integers(0, packed.n, size=packed.n // 2)
+    for scale in (0.1, 1.0, 30.0):
+        x = scale * rng.standard_normal(packed.dim)
+        assert store.full_value(x) == packed.full_value(x)
+        assert store.full_gradient(x).tobytes() == packed.full_gradient(x).tobytes()
+        for sel in (idx, None):
+            for name in ("component_values", "component_gradients"):
+                got = getattr(store, name)(x, sel)
+                assert got.tobytes() == getattr(packed, name)(x, sel).tobytes()
+    # the bound of the per-component loop, scaling each squared norm
+    scale = SIGMOID_CURVATURE if packed.components[0].kind == "sigmoid" else 2.0
+    looped = max(scale * float(c.row @ c.row) for c in packed.components)
+    assert store.lipschitz_bound().L == packed.lipschitz_bound().L == looped
+
+
+@pytest.mark.parametrize(
+    "kind, rows, targets",
+    [
+        ("huber", np.ones((2, 3)), [1.0, -1.0]),
+        ("least_squares", np.ones(3), [1.0, 2.0, 3.0]),
+        ("least_squares", np.ones((0, 3)), []),
+        ("least_squares", np.ones((2, 3)), [1.0, 2.0, 3.0]),
+        ("least_squares", np.ones((2, 3)), [[1.0, 2.0]]),
+        ("sigmoid", np.ones((2, 3)), [1.0, 0.0]),
+        ("sigmoid", np.ones((2, 3)), [1.0, np.nan]),
+    ],
+    ids=["unknown_kind", "rows_1d", "rows_empty", "targets_long", "targets_2d",
+         "label_zero", "label_nan"],
+)
+def test_from_rows_rejects_bad_input(kind, rows, targets):
+    with pytest.raises(ShapeError):
+        FiniteSumLoss.from_rows(kind, rows, targets)
+
+
+def test_row_store_components_are_views_of_its_own_copy():
+    rng = np.random.default_rng(15)
+    rows, targets = rng.standard_normal((6, 4)), rng.standard_normal(6)
+    kept_rows, kept_targets = rows.copy(), targets.copy()
+    loss = FiniteSumLoss.from_rows("least_squares", rows, targets)
+    x = rng.standard_normal(4)
+    before = loss.full_gradient(x)
+    rows[:] = 0.0  # the caller's arrays are not the loss's
+    targets[:] = 0.0
+    loss.drop_memo()
+    assert np.array_equal(loss.full_gradient(x), before)
+    comps = loss.components
+    assert comps is loss.components and len(comps) == 6
+    for i, c in enumerate(comps):
+        assert isinstance(c, LeastSquaresComponent) and c.dim == 4
+        assert np.array_equal(c.r, kept_rows[i]) and c.b == kept_targets[i]
+        assert not c.r.flags.writeable
+        assert c.value(x) == loss.component_value(i, x)
+        assert c.gradient(x).tobytes() == loss.component_gradient(i, x).tobytes()
+    labels = np.where(rng.random(5) > 0.5, 1.0, -1.0)
+    sig = FiniteSumLoss.from_rows("sigmoid", kept_rows[:5], labels)
+    for i, c in enumerate(sig.components):
+        assert isinstance(c, SigmoidComponent)
+        assert np.array_equal(c.a, kept_rows[i]) and c.b == labels[i]
+        assert c.value(x) == sig.component_value(i, x)
+        assert c.gradient(x).tobytes() == sig.component_gradient(i, x).tobytes()

@@ -89,6 +89,43 @@ def test_graph_planted_pair_is_exactly_recovered():
     assert graph.edges == expected
 
 
+def _loop_edges(mat, rho_c):
+    # the correlation of build_graph, thresholded pair by pair
+    centered = mat - mat.mean(axis=0)
+    cov = centered.T @ centered
+    std = np.sqrt(np.diag(cov))
+    denom = np.outer(std, std)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        corr = np.where(denom > 0, cov / denom, 0.0)
+    corr = np.where(np.abs(corr) >= 1.0 - 1e-12, np.sign(corr), corr)
+    d = mat.shape[1]
+    return tuple(
+        (i, j) for i in range(d) for j in range(i + 1, d) if abs(corr[i, j]) >= rho_c
+    )
+
+
+@pytest.mark.parametrize("rho_c", [1e-9, 0.1, 0.9, 1.0])
+def test_graph_edges_and_rows_match_a_pairwise_loop(rho_c):
+    rng = np.random.default_rng(5)
+    base = rng.standard_normal((40, 5))
+    mat = np.column_stack(
+        [base, base[:, 1], -base[:, 3] + 1e-3 * rng.standard_normal(40), np.ones(40)]
+    )
+    labels = np.where(rng.random(40) > 0.5, 1.0, -1.0)
+    data = dataset_from_dense(mat, labels)
+    graph = build_graph(data, rho_c)
+    expected = _loop_edges(mat, rho_c)
+    assert graph.edges == expected
+    assert (1, 5) in graph.edges
+    assert all(type(i) is int and type(j) is int for i, j in graph.edges)
+    problem = build_fused_lasso(data, graph=graph)
+    g_rows = problem.op.operators[0].matrix
+    for k, (i, j) in enumerate(expected):
+        want = np.zeros(mat.shape[1])
+        want[i], want[j] = 1.0, -1.0
+        assert np.array_equal(g_rows[k], want)
+
+
 def test_fused_lasso_edge_rows_and_shape():
     rng = np.random.default_rng(3)
     mat = rng.standard_normal((10, 3))
@@ -169,6 +206,21 @@ def test_toy_reconstruction_blur_zero_radius_is_identity_forward():
     )
     rows = np.vstack([c.r for c in problem.loss.components])
     assert np.array_equal(rows, np.eye(64))
+
+
+@pytest.mark.parametrize("height, width, radius", [(8, 8, 1), (9, 12, 2), (10, 8, 4)])
+def test_toy_reconstruction_blur_rows_match_a_per_pixel_window(height, width, radius):
+    problem, _ = build_toy_reconstruction(height, width, forward="blur", radius=radius)
+    rows = np.vstack([c.r for c in problem.loss.components])
+    expected = np.zeros((height * width, height * width))
+    for i in range(height):
+        for j in range(width):
+            r0, r1 = max(0, i - radius), min(height, i + radius + 1)
+            c0, c1 = max(0, j - radius), min(width, j + radius + 1)
+            window = np.zeros((height, width))
+            window[r0:r1, c0:c1] = 1.0 / ((r1 - r0) * (c1 - c0))
+            expected[i * width + j] = window.ravel()
+    assert rows.tobytes() == expected.tobytes()
 
 
 def test_toy_reconstruction_parameter_errors():

@@ -543,6 +543,34 @@ def test_sarah_diagnostics_take_one_exact_gradient_per_iteration(monkeypatch):
     assert len(column_sums) <= 21
 
 
+def test_psi_reuses_the_step_augmented_lagrangian(monkeypatch):
+    # step hands stability psi the augmented Lagrangian it has just taken
+    import sadmm.diagnostics
+    import sadmm.solver
+
+    problem = generate_synthetic_quadratic(200, 20, seed=3)
+    in_step = _count_calls(monkeypatch, sadmm.solver, "augmented_lagrangian")
+    in_psi = _count_calls(monkeypatch, sadmm.diagnostics, "augmented_lagrangian")
+    applies = _count_calls(monkeypatch, problem.op, "apply")
+    spec = EstimatorSpec("saga", batch_size=10, seed=4)
+    config = SolverConfig(
+        beta=1.0, tau=3.0, sigma=0.95, estimator=spec, max_epochs=1,
+        diag_every=1, seed=4,
+    )
+    result = run(problem, config)
+    assert len(result.trace) == 20
+    assert len(in_step) + len(in_psi) == 20
+    # A x0 and the spectral estimate, then per sampled step A x_{t+1}, the
+    # augmented Lagrangian's A and the A inside B
+    assert len(applies) == 2 + 3 * 20
+    last = result.trace[-1].diag
+    ctx = sadmm.solver._make_diag_context(problem, config)
+    assert last.psi == sadmm.diagnostics.stability_psi(
+        problem, result.state, ctx.consts, last.upsilon, last.grad_err_sq_prev,
+        config.beta, config.sigma, ctx.rho,
+    )
+
+
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_run_drops_the_loss_memo_on_return_and_on_divergence():
     problem = small_problem(seed=13)
