@@ -43,6 +43,11 @@ BENCH_COLUMNS = ("method", "seed", "epoch", "objective", "residual")
 _CONFIG_ERRORS = (ConfigError, DataError, ParseError, ParameterError, ShapeError, OSError)
 
 
+def _fail(exc):
+    print(f"error: {exc}", file=sys.stderr)
+    return 1
+
+
 def _spectral_for(problem, seed):
     try:
         return estimate_spectral(problem.op, seed=seed)
@@ -115,8 +120,7 @@ def cmd_solve(config_path):
             raise ConfigError("[output] missing required key 'trace' for solve")
         problem = build_problem(run_config)
     except _CONFIG_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _fail(exc)
     config = run_config.solver
     spectral = _spectral_for(problem, config.seed)
     report = validate_params(problem, config, spectral, problem.loss.lipschitz_bound())
@@ -126,10 +130,13 @@ def cmd_solve(config_path):
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    write_trace(run_config.trace_path, result.trace, with_diagnostics=config.diag_every > 0)
-    if run_config.plot_data:
-        stem, _ = os.path.splitext(run_config.trace_path)
-        _write_bench_csv(f"{stem}_plotdata.csv", [_run_bundle(run_config, result.trace)])
+    try:
+        write_trace(run_config.trace_path, result.trace, with_diagnostics=config.diag_every > 0)
+        if run_config.plot_data:
+            stem, _ = os.path.splitext(run_config.trace_path)
+            _write_bench_csv(f"{stem}_plotdata.csv", [_run_bundle(run_config, result.trace)])
+    except OSError as exc:
+        return _fail(exc)
     final = result.trace[-1]
     print(
         f"finished: {final.iter} iterations, objective {final.objective:.17g}, "
@@ -141,8 +148,7 @@ def cmd_solve(config_path):
             for line in _test_split_lines(run_config, problem, result.output[0]):
                 print(line)
         except _CONFIG_ERRORS as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+            return _fail(exc)
     return 0
 
 
@@ -151,8 +157,7 @@ def cmd_validate(config_path):
         run_config = load_run_config(config_path)
         problem = build_problem(run_config)
     except _CONFIG_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _fail(exc)
     config = run_config.solver
     spectral = _spectral_for(problem, config.seed)
     report = validate_params(problem, config, spectral, problem.loss.lipschitz_bound())
@@ -255,11 +260,9 @@ def cmd_bench(config_dir, out_path, summary=False):
             f for f in os.listdir(config_dir) if f.endswith(".ini")
         )
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _fail(exc)
     if not names:
-        print(f"error: no .ini configs in {config_dir}", file=sys.stderr)
-        return 1
+        return _fail(f"no .ini configs in {config_dir}")
     paths = [os.path.join(config_dir, name) for name in names]
     workers = _worker_count(len(paths))
     if workers == 1:
@@ -269,13 +272,16 @@ def cmd_bench(config_dir, out_path, summary=False):
     for path, bundle in zip(paths, bundles):
         if bundle["error"] is not None:
             print(f"run failed: {path}: {bundle['error']}", file=sys.stderr)
-    _write_bench_csv(out_path, bundles)
-    print(f"combined results written to {out_path}")
-    if summary:
-        stem, _ = os.path.splitext(out_path)
-        summary_path = f"{stem}_summary.csv"
-        _write_summary_csv(summary_path, bundles)
-        print(f"summary written to {summary_path}")
+    try:
+        _write_bench_csv(out_path, bundles)
+        print(f"combined results written to {out_path}")
+        if summary:
+            stem, _ = os.path.splitext(out_path)
+            summary_path = f"{stem}_summary.csv"
+            _write_summary_csv(summary_path, bundles)
+            print(f"summary written to {summary_path}")
+    except OSError as exc:
+        return _fail(exc)
     if all(b["error"] is not None for b in bundles):
         return 1
     return 0

@@ -6,13 +6,15 @@ parameters, and ``[output]`` names the trace path plus diagnostics and
 plot-data toggles. The schema is strict: unknown sections or keys are
 rejected, naming the offender. Relative paths are resolved against the
 directory containing the config file.
+
+Each section's keys are declared once, in the tables below: a key's type
+and its default, or ``REQUIRED``.
 """
 
 import configparser
-import math
 import os
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .estimators import EstimatorSpec
 from .exceptions import ConfigError, ParameterError
@@ -27,46 +29,69 @@ from .solver import SolverConfig
 
 __all__ = ["RunConfig", "load_run_config", "build_problem"]
 
-_PROBLEM_KEYS = {
+REQUIRED = object()
+
+
+def _path(raw):
+    """Key type of a file path, resolved against the config's directory."""
+    return raw
+
+
+class _Key(NamedTuple):
+    kind: object
+    default: object = None
+    arg: Optional[str] = None  # the builder argument fed, when not the key itself
+    owner: Optional[str] = None  # the only estimator the key applies to
+
+
+_PROBLEM = {
     "fused_lasso": {
-        "builder",
-        "data",
-        "lambda1",
-        "rho_c",
-        "n_features",
-        "test_data",
-        "name",
+        "data": _Key(_path, REQUIRED),
+        "lambda1": _Key(float, 1e-5),
+        "rho_c": _Key(float, 0.9),
+        "n_features": _Key(int),
+        "test_data": _Key(_path),
+        "name": _Key(str, "fused_lasso"),
     },
     "toy_reconstruction": {
-        "builder",
-        "height",
-        "width",
-        "forward",
-        "radius",
-        "keep",
-        "noise_sigma",
-        "lambda",
-        "reg",
-        "seed",
+        "height": _Key(int, REQUIRED),
+        "width": _Key(int, REQUIRED),
+        "forward": _Key(str, "blur"),
+        "radius": _Key(int, 1),
+        "keep": _Key(float, 0.5),
+        "noise_sigma": _Key(float, 0.0),
+        "lambda": _Key(float, 0.01, arg="lam"),
+        "reg": _Key(str, "l1", arg="reg_kind"),
+        "seed": _Key(int, 0),
     },
-    "synthetic_quadratic": {"builder", "n", "d", "seed", "conditioning"},
+    "synthetic_quadratic": {
+        "n": _Key(int, REQUIRED),
+        "d": _Key(int, REQUIRED),
+        "seed": _Key(int, 0),
+        "conditioning": _Key(float, 1.0),
+    },
 }
 
-_SOLVER_KEYS = {
-    "beta",
-    "tau",
-    "sigma",
-    "estimator",
-    "batch_size",
-    "epoch_len",
-    "sarah_p",
-    "max_epochs",
-    "residual_tol",
-    "seed",
-    "output_rule",
+_SOLVER = {
+    "beta": _Key(float, REQUIRED),
+    "tau": _Key(float, REQUIRED),
+    "sigma": _Key(float, 0.95),
+    "estimator": _Key(str, "full"),
+    "batch_size": _Key(int, 1),
+    "epoch_len": _Key(int, owner="svrg"),
+    "sarah_p": _Key(float, 8.0, owner="sarah"),
+    "max_epochs": _Key(int, 10),
+    "residual_tol": _Key(float, 0.0),
+    "seed": _Key(int, 0),
+    "output_rule": _Key(str, "final"),
 }
 
-_OUTPUT_KEYS = {"trace", "diag_every", "plot_data", "label"}
+_OUTPUT = {
+    "trace": _Key(_path),
+    "diag_every": _Key(int, 0),
+    "plot_data": _Key(bool, False),
+    "label": _Key(str),  # None stands for the estimator's name
+}
 
 
 @dataclass
@@ -79,44 +104,42 @@ class RunConfig:
     test_data: Optional[str]
 
 
-def _parse_value(section, key, raw, kind):
-    try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            if raw.lower() in ("inf", "+inf", "infinity"):
-                return math.inf
-            return float(raw)
-        if kind is bool:
-            low = raw.lower()
-            if low in ("true", "yes", "on", "1"):
-                return True
-            if low in ("false", "no", "off", "0"):
-                return False
-            raise ValueError(raw)
-        return raw
-    except ValueError:
-        raise ConfigError(
-            f"[{section}] {key} = {raw!r} is not a valid {kind.__name__}"
-        ) from None
+def _parse_bool(raw):
+    low = raw.lower()
+    if low in ("true", "yes", "on", "1"):
+        return True
+    if low in ("false", "no", "off", "0"):
+        return False
+    raise ValueError(raw)
 
 
-class _Section:
-    def __init__(self, name, mapping):
-        self.name = name
-        self.mapping = dict(mapping)
+def _read_section(parser, name, schema, base):
+    """The section's values by key: types parsed, defaults filled in.
 
-    def get(self, key, kind, default=None, required=False):
-        if key not in self.mapping:
-            if required:
-                raise ConfigError(f"[{self.name}] missing required key {key!r}")
-            return default
-        return _parse_value(self.name, key, self.mapping[key], kind)
-
-    def check_keys(self, allowed):
-        for key in self.mapping:
-            if key not in allowed:
-                raise ConfigError(f"[{self.name}] unknown key {key!r}")
+    An unknown key, a missing required key and a value its type does not
+    parse raise ConfigError.
+    """
+    raw = dict(parser.items(name)) if parser.has_section(name) else {}
+    for key in raw:
+        if key not in schema:
+            raise ConfigError(f"[{name}] unknown key {key!r}")
+    values = {}
+    for key, entry in schema.items():
+        if key not in raw:
+            if entry.default is REQUIRED:
+                raise ConfigError(f"[{name}] missing required key {key!r}")
+            values[key] = entry.default
+            continue
+        kind = _parse_bool if entry.kind is bool else entry.kind
+        try:
+            values[key] = kind(raw[key])
+        except ValueError:
+            raise ConfigError(
+                f"[{name}] {key} = {raw[key]!r} is not a valid {entry.kind.__name__}"
+            ) from None
+        if entry.kind is _path:
+            values[key] = os.path.join(base, values[key])
+    return values
 
 
 def load_run_config(path):
@@ -124,131 +147,71 @@ def load_run_config(path):
     parser = configparser.ConfigParser(interpolation=None)
     try:
         read = parser.read(path, encoding="utf-8")
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     base = os.path.dirname(os.path.abspath(path))
 
-    known_sections = {"problem", "solver", "output"}
     for section in parser.sections():
-        if section not in known_sections:
+        if section not in ("problem", "solver", "output"):
             raise ConfigError(f"unknown section [{section}]")
     for required in ("problem", "solver"):
         if not parser.has_section(required):
             raise ConfigError(f"missing section [{required}]")
 
-    prob = _Section("problem", parser.items("problem"))
-    builder = prob.get("builder", str, required=True)
-    if builder not in _PROBLEM_KEYS:
+    builder = parser.get("problem", "builder", fallback=None)
+    if builder is None:
+        raise ConfigError("[problem] missing required key 'builder'")
+    if builder not in _PROBLEM:
         raise ConfigError(f"[problem] unknown builder {builder!r}")
-    prob.check_keys(_PROBLEM_KEYS[builder])
+    schema = {"builder": _Key(str), **_PROBLEM[builder]}
+    prob = _read_section(parser, "problem", schema, base)
+    test_data = prob.pop("test_data", None)
+    problem_spec = {schema[key].arg or key: value for key, value in prob.items()}
 
-    def resolve(p):
-        return p if p is None or os.path.isabs(p) else os.path.join(base, p)
-
-    problem_spec = {"builder": builder}
-    test_data = None
-    if builder == "fused_lasso":
-        problem_spec["data"] = resolve(prob.get("data", str, required=True))
-        problem_spec["lambda1"] = prob.get("lambda1", float, default=1e-5)
-        problem_spec["rho_c"] = prob.get("rho_c", float, default=0.9)
-        problem_spec["n_features"] = prob.get("n_features", int)
-        problem_spec["name"] = prob.get("name", str, default="fused_lasso")
-        test_data = resolve(prob.get("test_data", str))
-    elif builder == "toy_reconstruction":
-        problem_spec["height"] = prob.get("height", int, required=True)
-        problem_spec["width"] = prob.get("width", int, required=True)
-        problem_spec["forward"] = prob.get("forward", str, default="blur")
-        problem_spec["radius"] = prob.get("radius", int, default=1)
-        problem_spec["keep"] = prob.get("keep", float, default=0.5)
-        problem_spec["noise_sigma"] = prob.get("noise_sigma", float, default=0.0)
-        problem_spec["lambda"] = prob.get("lambda", float, default=0.01)
-        problem_spec["reg"] = prob.get("reg", str, default="l1")
-        problem_spec["seed"] = prob.get("seed", int, default=0)
-    else:
-        problem_spec["n"] = prob.get("n", int, required=True)
-        problem_spec["d"] = prob.get("d", int, required=True)
-        problem_spec["seed"] = prob.get("seed", int, default=0)
-        problem_spec["conditioning"] = prob.get("conditioning", float, default=1.0)
-
-    solv = _Section("solver", parser.items("solver"))
-    solv.check_keys(_SOLVER_KEYS)
-    seed = solv.get("seed", int, default=0)
-    kind = solv.get("estimator", str, default="full")
-    for key, owner in (("sarah_p", "sarah"), ("epoch_len", "svrg")):
-        if key in solv.mapping and kind != owner:
-            raise ConfigError(f"[solver] {key} applies to estimator {owner!r} only, not {kind!r}")
-    if parser.has_section("output"):
-        out = _Section("output", parser.items("output"))
-    else:
-        out = _Section("output", {})
-    out.check_keys(_OUTPUT_KEYS)
-    diag_every = out.get("diag_every", int, default=0)
+    solv = _read_section(parser, "solver", _SOLVER, base)
+    kind = solv["estimator"]
+    for key, entry in _SOLVER.items():
+        if entry.owner not in (None, kind):
+            if parser.has_option("solver", key):
+                raise ConfigError(
+                    f"[solver] {key} applies to estimator {entry.owner!r} only, not {kind!r}"
+                )
+            solv[key] = None
+    out = _read_section(parser, "output", _OUTPUT, base)
     try:
         est_spec = EstimatorSpec(
-            kind=kind,
-            batch_size=solv.get("batch_size", int, default=1),
-            epoch_len=solv.get("epoch_len", int),
-            restart_p=solv.get("sarah_p", float, default=8.0)
-            if kind == "sarah"
-            else None,
-            seed=seed,
+            kind, batch_size=solv["batch_size"], epoch_len=solv["epoch_len"],
+            restart_p=solv["sarah_p"], seed=solv["seed"],
         )
         solver_config = SolverConfig(
-            beta=solv.get("beta", float, required=True),
-            tau=solv.get("tau", float, required=True),
-            sigma=solv.get("sigma", float, default=0.95),
-            estimator=est_spec,
-            max_epochs=solv.get("max_epochs", int, default=10),
-            residual_tol=solv.get("residual_tol", float, default=0.0),
-            diag_every=diag_every,
-            seed=seed,
-            output_rule=solv.get("output_rule", str, default="final"),
+            beta=solv["beta"], tau=solv["tau"], sigma=solv["sigma"], estimator=est_spec,
+            max_epochs=solv["max_epochs"], residual_tol=solv["residual_tol"],
+            diag_every=out["diag_every"], seed=solv["seed"], output_rule=solv["output_rule"],
         )
     except ParameterError as exc:
         raise ConfigError(f"[solver] {exc}") from None
 
-    trace_path = resolve(out.get("trace", str))
-    plot_data = out.get("plot_data", bool, default=False)
-    label = out.get("label", str, default=kind)
-
     return RunConfig(
         problem=problem_spec,
         solver=solver_config,
-        trace_path=trace_path,
-        plot_data=plot_data,
-        label=label,
+        trace_path=out["trace"],
+        plot_data=out["plot_data"],
+        label=kind if out["label"] is None else out["label"],
         test_data=test_data,
     )
 
 
 def build_problem(run_config):
     """Instantiate the Problem described by a RunConfig."""
-    spec = run_config.problem
-    builder = spec["builder"]
+    args = dict(run_config.problem)
+    builder = args.pop("builder")
     if builder == "fused_lasso":
-        data = parse_libsvm(spec["data"], n_features=spec["n_features"])
-        graph = build_graph(data, rho_c=spec["rho_c"])
-        return build_fused_lasso(
-            data,
-            lambda1=spec["lambda1"],
-            graph=graph,
-            name=spec["name"],
-        )
+        data = parse_libsvm(args["data"], n_features=args["n_features"])
+        graph = build_graph(data, rho_c=args["rho_c"])
+        return build_fused_lasso(data, lambda1=args["lambda1"], graph=graph, name=args["name"])
     if builder == "toy_reconstruction":
-        problem, _truth = build_toy_reconstruction(
-            spec["height"],
-            spec["width"],
-            forward=spec["forward"],
-            radius=spec["radius"],
-            keep=spec["keep"],
-            noise_sigma=spec["noise_sigma"],
-            lam=spec["lambda"],
-            reg_kind=spec["reg"],
-            seed=spec["seed"],
-        )
+        problem, _truth = build_toy_reconstruction(**args)
         return problem
-    return generate_synthetic_quadratic(
-        spec["n"], spec["d"], seed=spec["seed"], conditioning=spec["conditioning"]
-    )
+    return generate_synthetic_quadratic(**args)

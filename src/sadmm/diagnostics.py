@@ -83,13 +83,13 @@ def augmented_lagrangian(problem, x, z, u, beta):
     ``beta`` may be zero here, giving the plain Lagrangian.
     """
     r = problem.op.apply(x) - np.asarray(z, dtype=float)
-    u = np.asarray(u, dtype=float)
-    return (
-        problem.reg.value(z)
-        + problem.loss.full_value(x)
-        + float(u @ r)
-        + 0.5 * beta * float(r @ r)
-    )
+    objective = problem.reg.value(z) + problem.loss.full_value(x)
+    return _augmented_lagrangian(objective, np.asarray(u, dtype=float), r, beta)
+
+
+def _augmented_lagrangian(objective, u, r, beta):
+    """``augmented_lagrangian`` given F(z) + H(x) and the residual r = Ax - z."""
+    return objective + float(u @ r) + 0.5 * beta * float(r @ r)
 
 
 def apply_B(x, op, tau, beta):

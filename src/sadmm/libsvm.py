@@ -38,8 +38,14 @@ def parse_libsvm(path, n_features=None):
     data, indices, indptr = [], [], [0]
     raw_labels = []
     max_index = 0
-    with open(path, "r", encoding="utf-8") as fh:
+    # undecodable bytes become lone surrogates, which no UTF-8 text holds
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ParseError("not valid UTF-8 text", line=lineno) from None
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -80,6 +86,8 @@ def parse_libsvm(path, n_features=None):
         )
     if d < 1:
         raise DataError("dataset has no features")
+    if d > np.iinfo(np.intp).max:
+        raise DataError(f"{d} features exceed the largest array index")
     n = len(raw_labels)
     features = sp.csr_matrix(
         (np.array(data), np.array(indices, dtype=int), np.array(indptr, dtype=int)),

@@ -115,7 +115,7 @@ def build_fused_lasso(data, lambda1=1e-5, graph=None, name="fused_lasso"):
     labels = np.asarray(data.labels, dtype=float)
     if not set(np.unique(labels)) <= {-1.0, 1.0}:
         raise DataError("fused lasso needs binary labels in {-1, +1}")
-    if lambda1 <= 0:
+    if not lambda1 > 0:
         raise ParameterError(f"lambda1 must be positive, got {lambda1}")
     loss = FiniteSumLoss.from_rows("sigmoid", data.features.todense(), labels)
     edges = graph.edges if graph is not None else ()
@@ -180,7 +180,7 @@ def build_toy_reconstruction(
     """
     if height < 8 or width < 8:
         raise ParameterError("phantom needs at least 8x8 pixels")
-    if noise_sigma < 0:
+    if not noise_sigma >= 0:
         raise ParameterError("noise_sigma must be nonnegative")
     if forward not in ("blur", "mask"):
         raise ParameterError(f"forward must be 'blur' or 'mask', got {forward!r}")
@@ -241,7 +241,7 @@ def generate_synthetic_quadratic(n, d, seed=0, conditioning=1.0):
     """
     if n < 1 or d < 1:
         raise ParameterError("n and d must be positive")
-    if conditioning < 1:
+    if not conditioning >= 1:
         raise ParameterError("conditioning must be at least 1")
     rng = substream(seed, DOMAIN_PROBLEM, 0)
     rows = rng.standard_normal((n, d))

@@ -41,7 +41,7 @@ class L1(Regularizer):
 
     def __init__(self, lam):
         lam = float(lam)
-        if lam < 0:
+        if not lam >= 0:
             raise ParameterError(f"lam must be nonnegative, got {lam}")
         self.lam = lam
 
@@ -66,7 +66,7 @@ class L0(Regularizer):
 
     def __init__(self, lam):
         lam = float(lam)
-        if lam < 0:
+        if not lam >= 0:
             raise ParameterError(f"lam must be nonnegative, got {lam}")
         self.lam = lam
 
@@ -88,7 +88,7 @@ class WeightedL0(Regularizer):
         lams = np.asarray(lams, dtype=float)
         if lams.ndim != 1:
             raise ShapeError("weights must be a 1-D vector")
-        if np.any(lams < 0):
+        if not np.all(lams >= 0):
             raise ParameterError("weights must be nonnegative")
         self.lams = lams
 

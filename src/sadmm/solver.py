@@ -24,8 +24,8 @@ import numpy as np
 
 from .diagnostics import (
     DiagnosticsRecord,
+    _augmented_lagrangian,
     _psi,
-    augmented_lagrangian,
     stability_constants,
 )
 from .estimators import (
@@ -82,15 +82,15 @@ class SolverConfig:
     output_rule: str = "final"
 
     def __post_init__(self):
-        if self.beta <= 0:
+        if not self.beta > 0:
             raise ParameterError(f"beta must be positive, got {self.beta}")
-        if self.tau <= 0:
+        if not self.tau > 0:
             raise ParameterError(f"tau must be positive, got {self.tau}")
         if not 0 < self.sigma <= 1:
             raise ParameterError(f"sigma must lie in (0, 1], got {self.sigma}")
         if self.max_epochs < 1:
             raise ParameterError("max_epochs must be at least 1")
-        if self.residual_tol < 0:
+        if not self.residual_tol >= 0:
             raise ParameterError("residual_tol must be nonnegative")
         if self.diag_every < 0:
             raise ParameterError("diag_every must be nonnegative")
@@ -192,7 +192,7 @@ def _u_step(u, resid, sigma, beta):
 @dataclass
 class _DiagContext:
     consts: object  # StabilityConstants or None when psi is undefined
-    rho: float
+    rho: Optional[float]  # None when consts is None
 
 
 def step(state, problem, config, estimator, diag_ctx=None):
@@ -228,7 +228,7 @@ def step(state, problem, config, estimator, diag_ctx=None):
     objective = loss.full_value(x_next) + reg.value(z_next)
     diag = None
     if diag_ctx is not None:
-        aug = augmented_lagrangian(problem, x_next, z_next, u_next, beta)
+        aug = _augmented_lagrangian(objective, u_next, resid_vec, beta)
         psi = None
         if diag_ctx.consts is not None:
             psi = _psi(aug, op, new_state, diag_ctx.consts, upsilon, grad_err_sq_prev,
@@ -256,29 +256,27 @@ def _variance_constants(spec, L, n):
 
 
 def _make_diag_context(problem, config, spectral=None):
-    loss = problem.loss
-    L = loss.lipschitz_bound()
-    vc, _ = _variance_constants(config.estimator, L, loss.n)
-    consts = None
     if spectral is None:
         try:
             spectral = estimate_spectral(problem.op, seed=config.seed)
         except SpectralEstimationError as exc:
             spectral = exc.best
-    if spectral is not None and spectral.lambda_min_aat > 0:
-        report = validate_params(problem, config, spectral, L)
-        consts = stability_constants(
-            config.sigma,
-            config.beta,
-            config.tau,
-            L.L,
-            spectral.lambda_min_aat,
-            report.eta_used,
-            report.c2_used,
-            vc.v1,
-            vc.v_upsilon,
-            vc.rho,
-        )
+    if spectral is None or not spectral.lambda_min_aat > 0:
+        return _DiagContext(consts=None, rho=None)
+    report = validate_params(problem, config, spectral, problem.loss.lipschitz_bound())
+    vc = report.constants
+    consts = stability_constants(
+        config.sigma,
+        config.beta,
+        config.tau,
+        report.lipschitz,
+        spectral.lambda_min_aat,
+        report.eta_used,
+        report.c2_used,
+        vc.v1,
+        vc.v_upsilon,
+        vc.rho,
+    )
     return _DiagContext(consts=consts, rho=vc.rho)
 
 

@@ -3,6 +3,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sadmm.cli import main
 from sadmm.config import build_problem, load_run_config
@@ -491,3 +493,215 @@ trace = {tmp_path / "fl.csv"}
     out = capsys.readouterr().out
     assert "test objective" in out
     assert "test mean sigmoid loss" in out
+
+
+def _svm_lines(n, seed):
+    rng = np.random.default_rng(seed)
+    return "".join(
+        f"{'+1' if rng.random() > 0.5 else '-1'} "
+        + " ".join(f"{j + 1}:{rng.standard_normal():.6f}" for j in range(4))
+        + "\n"
+        for _ in range(n)
+    )
+
+
+def _fused_lasso_config(tmp_path, train, test=None):
+    body = f"""
+[problem]
+builder = fused_lasso
+data = {train}
+rho_c = 0.5
+{'' if test is None else f'test_data = {test}'}
+
+[solver]
+beta = 1.0
+tau = 2.0
+max_epochs = 2
+
+[output]
+trace = {tmp_path / "fl.csv"}
+"""
+    return write_config(tmp_path / "fl.ini", body)
+
+
+def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "bytes.ini"
+    cfg.write_bytes(BASE_SYNTH.format(trace="t.csv").encode() + b"label = \xff\n")
+    assert main(["solve", str(cfg)]) == 1
+    assert "error:" in capsys.readouterr().err
+    with pytest.raises(ConfigError):
+        load_run_config(str(cfg))
+
+
+@pytest.mark.parametrize("which", ["data", "test_data"])
+def test_non_utf8_data_file_is_an_error(tmp_path, capsys, which):
+    good, bad = tmp_path / "good.svm", tmp_path / "bad.svm"
+    good.write_text(_svm_lines(20, 0))
+    bad.write_bytes(_svm_lines(20, 1).encode() + b"+1 1:0.5 2:\xff\n")
+    data, test_data = (bad, None) if which == "data" else (good, bad)
+    assert main(["solve", _fused_lasso_config(tmp_path, data, test_data)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "line 21" in err
+
+
+def test_trace_in_a_missing_directory_is_an_error(tmp_path, capsys):
+    cfg = write_config(tmp_path / "run.ini", BASE_SYNTH.format(trace=tmp_path / "no" / "t.csv"))
+    assert main(["solve", cfg]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_unwritable_plot_data_csv_is_an_error(tmp_path, capsys):
+    (tmp_path / "t_plotdata.csv").mkdir()
+    body = BASE_SYNTH.format(trace=tmp_path / "t.csv") + "plot_data = true\n"
+    assert main(["solve", write_config(tmp_path / "run.ini", body)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def _bench_dir(tmp_path):
+    bench_dir = tmp_path / "bench"
+    bench_dir.mkdir()
+    write_config(bench_dir / "run.ini", BASE_SYNTH.format(trace="unused.csv"))
+    return str(bench_dir)
+
+
+def test_bench_output_in_a_missing_directory_is_an_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SADMM_THREADS", "1")
+    out_csv = tmp_path / "no" / "out.csv"
+    assert main(["bench", _bench_dir(tmp_path), "-o", str(out_csv)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_unwritable_bench_summary_is_an_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SADMM_THREADS", "1")
+    (tmp_path / "out_summary.csv").mkdir()
+    out_csv = tmp_path / "out.csv"
+    assert main(["bench", _bench_dir(tmp_path), "-o", str(out_csv), "--summary"]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_nan_residual_tol_is_a_config_error(tmp_path):
+    body = BASE_SYNTH.format(trace="t.csv").replace("seed = 11", "seed = 11\nresidual_tol = nan")
+    with pytest.raises(ConfigError, match="residual_tol"):
+        load_run_config(write_config(tmp_path / "nan.ini", body))
+
+
+_SOLVER_DEFAULTS = {
+    "sigma": 0.95, "max_epochs": 10, "residual_tol": 0.0, "diag_every": 0, "seed": 0,
+    "output_rule": "final",
+}
+
+
+@pytest.mark.parametrize("builder", ["fused_lasso", "toy_reconstruction", "synthetic_quadratic"])
+@pytest.mark.parametrize("estimator", [None, "svrg", "sarah"])
+def test_every_default_of_every_section(tmp_path, builder, estimator):
+    required = {
+        "fused_lasso": "data = train.svm",
+        "toy_reconstruction": "height = 8\nwidth = 9",
+        "synthetic_quadratic": "n = 12\nd = 4",
+    }[builder]
+    chosen = "" if estimator is None else f"estimator = {estimator}"
+    body = f"[problem]\nbuilder = {builder}\n{required}\n[solver]\nbeta = 1\ntau = 2\n{chosen}\n"
+    (tmp_path / "train.svm").write_text("+1 1:1 3:2\n-1 2:1\n+1 1:-1 2:0.5\n")
+    rc = load_run_config(write_config(tmp_path / "d.ini", body))
+    config, spec = rc.solver, rc.solver.estimator
+    assert {k: getattr(config, k) for k in _SOLVER_DEFAULTS} == _SOLVER_DEFAULTS
+    kind = estimator or "full"
+    assert (spec.kind, spec.batch_size, spec.epoch_len, spec.seed) == (kind, 1, None, 0)
+    assert spec.restart_p == (8.0 if kind == "sarah" else None)
+    assert (rc.trace_path, rc.plot_data, rc.label, rc.test_data) == (None, False, kind, None)
+    problem = build_problem(rc)
+    meta = problem.metadata
+    if builder == "fused_lasso":
+        assert (problem.name, meta["lambda1"], meta["graph_rho_c"]) == ("fused_lasso", 1e-5, 0.9)
+        assert meta["dataset_shape"] == (3, 3)
+    elif builder == "toy_reconstruction":
+        assert {k: meta[k] for k in ("height", "width", "forward", "radius", "keep")} == {
+            "height": 8, "width": 9, "forward": "blur", "radius": 1, "keep": 0.5,
+        }
+        assert (meta["noise_sigma"], meta["lambda"], meta["reg_kind"], meta["seed"]) == (
+            0.0, 0.01, "l1", 0,
+        )
+    else:
+        assert (problem.loss.n, problem.loss.dim, meta["seed"], meta["conditioning"]) == (
+            12, 4, 0, 1.0,
+        )
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("n = 12", "n = 12\nwormhole = 1", "[problem] unknown key 'wormhole'"),
+        ("sigma = 0.9", "sigma = 0.9\nwormhole = 1", "[solver] unknown key 'wormhole'"),
+        ("[output]", "[output]\nwormhole = 1", "[output] unknown key 'wormhole'"),
+        ("[output]", "[plots]", "unknown section [plots]"),
+        ("[solver]", "[solverr]", "unknown section [solverr]"),
+        ("builder = synthetic_quadratic", "builder = mystery", "[problem] unknown builder 'mystery'"),
+        ("builder = synthetic_quadratic\n", "", "[problem] missing required key 'builder'"),
+        ("d = 4\n", "", "[problem] missing required key 'd'"),
+        ("tau = 4.0\n", "", "[solver] missing required key 'tau'"),
+        ("n = 12", "n = twelve", "[problem] n = 'twelve' is not a valid int"),
+        ("seed = 3", "seed = 3\nconditioning = x", "[problem] conditioning = 'x' is not a valid float"),
+        ("beta = 1.0", "beta = 1,0", "[solver] beta = '1,0' is not a valid float"),
+        ("batch_size = 3", "batch_size = 3.0", "[solver] batch_size = '3.0' is not a valid int"),
+        ("[output]", "[output]\nplot_data = maybe", "[output] plot_data = 'maybe' is not a valid bool"),
+        ("[output]", "[output]\ndiag_every = often", "[output] diag_every = 'often' is not a valid int"),
+        ("sigma = 0.9", "sigma = 0.9\nsarah_p = 4", "[solver] sarah_p applies to estimator 'sarah' only, not 'saga'"),
+        ("sigma = 0.9", "sigma = 0.9\nepoch_len = 5", "[solver] epoch_len applies to estimator 'svrg' only, not 'saga'"),
+        ("beta = 1.0", "beta = -1.0", "[solver] beta must be positive, got -1.0"),
+        ("batch_size = 3", "batch_size = 0", "[solver] batch_size must be at least 1"),
+        ("estimator = saga", "estimator = adam", "[solver] unknown estimator kind 'adam'"),
+        ("estimator = saga", "estimator = sarah\nsarah_p = 1", "[solver] sarah requires restart_p > 1"),
+        ("sigma = 0.9", "sigma = 0.9\noutput_rule = best", "[solver] unknown output_rule 'best'"),
+    ],
+)
+def test_single_fault_message(tmp_path, old, new, message):
+    body = BASE_SYNTH.format(trace="t.csv")
+    assert old in body
+    cfg = write_config(tmp_path / "f.ini", body.replace(old, new, 1))
+    with pytest.raises(ConfigError) as info:
+        load_run_config(cfg)
+    assert str(info.value) == message
+
+
+_SCHEMA_KEYS = [
+    "builder", "data", "lambda1", "rho_c", "n_features", "test_data", "name", "height", "width",
+    "forward", "radius", "keep", "noise_sigma", "lambda", "reg", "seed", "n", "d", "conditioning",
+    "beta", "tau", "sigma", "estimator", "batch_size", "epoch_len", "sarah_p", "max_epochs",
+    "residual_tol", "output_rule", "trace", "diag_every", "plot_data", "label",
+]
+_VALUES = [
+    "1", "12", "0", "-1", "0.5", "nan", "inf", "1e999", "99999999999999999999", "x", "", "true",
+    "full", "sarah", "svrg", "synthetic_quadratic", "toy_reconstruction", "fused_lasso", "l0",
+    "mask", "uniform_random", "a.svm", "%(x)s",
+]
+_ENTRIES = st.lists(
+    st.tuples(st.sampled_from(_SCHEMA_KEYS + ["wormhole", "Beta", "a b"]), st.sampled_from(_VALUES)),
+    max_size=6,
+)
+_SECTIONS = st.lists(
+    st.tuples(st.sampled_from(["problem", "solver", "output", "plots", "DEFAULT"]), _ENTRIES),
+    max_size=4,
+)
+_VALID = [
+    ("problem", [("builder", "synthetic_quadratic"), ("n", "12"), ("d", "4")]),
+    ("solver", [("beta", "1.0"), ("tau", "4.0")]),
+]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.booleans(), _SECTIONS, st.binary(max_size=6), st.integers(0, 400))
+def test_loader_raises_only_config_errors(tmp_path, from_valid, sections, junk, at):
+    merged = dict(_VALID) if from_valid else {}
+    for name, entries in sections:
+        merged[name] = merged.get(name, []) + entries
+    text = "".join(
+        f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in entries)
+        for name, entries in merged.items()
+    ).encode()
+    cfg = tmp_path / "any.ini"
+    cfg.write_bytes(text[:at] + junk + text[at:])
+    try:
+        load_run_config(str(cfg))
+    except ConfigError:
+        pass

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sadmm import DataError, Dataset, ParseError, parse_libsvm, write_libsvm
 
@@ -109,3 +111,55 @@ def test_roundtrip_through_writer(tmp_path):
     assert np.array_equal(
         np.asarray(parsed.features.todense()), np.asarray(original.features.todense())
     )
+
+
+# lines of LIBSVM text from pieces that make it and its faults
+_LABELS = [b"1", b"-1", b"+1", b"0", b"2", b"0.5", b"nan", b"x", b"#", b""]
+_PAIRS = [
+    b" 1:1", b" 2:-0.5", b" 3:1e-400", b" 4:inf", b" 5:nan", b" 99999999999999999999:1",
+    b" 2", b" 0:1", b" 1:\xff", b" 2:\x00", b" 3:1_0", b" \xc3\xa9", b"\t", b"\r",
+]
+_LINES = st.tuples(st.sampled_from(_LABELS), st.lists(st.sampled_from(_PAIRS), max_size=4))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(st.binary(max_size=64),
+                 st.lists(_LINES.map(lambda t: t[0] + b"".join(t[1])), max_size=6).map(b"\n".join)),
+       st.one_of(st.none(), st.integers(-2, 40)))
+def test_parser_raises_only_parse_or_data_errors(tmp_path, raw, n_features):
+    path = tmp_path / "any.svm"
+    path.write_bytes(raw)
+    try:
+        data = parse_libsvm(path, n_features=n_features)
+    except (ParseError, DataError):
+        return
+    assert data.features.shape == (data.n, data.d)
+    assert set(np.unique(data.labels)) <= {-1.0, 1.0}
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.one_of(st.just(0.0), st.floats(allow_nan=False)), min_size=4, max_size=4),
+             min_size=n, max_size=n),
+    st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n),
+)))
+def test_writer_then_parser_round_trips(tmp_path, rows_labels):
+    rows, labels = rows_labels
+    dense = np.array(rows)
+    original = Dataset(features=sp.csr_matrix(dense), labels=np.array(labels),
+                       n=dense.shape[0], d=dense.shape[1])
+    path = tmp_path / "rt.svm"
+    write_libsvm(path, original)
+    parsed = parse_libsvm(path, n_features=original.d)
+    assert (parsed.n, parsed.d) == (original.n, original.d)
+    assert np.array_equal(parsed.labels, original.labels)
+    assert np.array_equal(parsed.features.toarray(), dense)
+
+
+def test_non_utf8_byte_is_a_parse_error_naming_its_line(tmp_path):
+    path = tmp_path / "bytes.svm"
+    path.write_bytes(b"+1 1:0.5\n# comment\n-1 2:\xff1\n")
+    with pytest.raises(ParseError, match="line 3"):
+        parse_libsvm(path)

@@ -9,9 +9,11 @@ from sadmm import (
     FiniteDifference2D,
     Identity,
     L0,
+    L1,
     ParameterError,
     SolverConfig,
     VerticalStack,
+    WeightedL0,
     build_fused_lasso,
     build_graph,
     build_toy_reconstruction,
@@ -293,3 +295,33 @@ def test_write_pgm(tmp_path):
     grid = np.array([[int(v) for v in line.split()] for line in lines[3:]])
     assert grid.shape == (8, 10)
     assert grid.max() == 255 and grid.min() == 0
+
+
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: SolverConfig(beta=_NAN, tau=1.0),
+        lambda: SolverConfig(beta=1.0, tau=_NAN),
+        lambda: SolverConfig(beta=1.0, tau=1.0, residual_tol=_NAN),
+        lambda: L1(_NAN),
+        lambda: L0(_NAN),
+        lambda: WeightedL0([0.5, _NAN]),
+        lambda: build_fused_lasso(dataset_from_dense([[1.0], [2.0]], [1, -1]), lambda1=_NAN),
+        lambda: build_toy_reconstruction(8, 8, noise_sigma=_NAN),
+        lambda: generate_synthetic_quadratic(4, 2, conditioning=_NAN),
+    ],
+    ids=[
+        "solver_beta", "solver_tau", "solver_residual_tol", "l1_lam", "l0_lam",
+        "weighted_l0_lam", "fused_lasso_lambda1", "toy_noise_sigma", "quadratic_conditioning",
+    ],
+)
+def test_nan_parameter_is_rejected(make):
+    with pytest.raises(ParameterError):
+        make()
+
+
+def test_infinite_residual_tol_stays_valid():
+    assert SolverConfig(beta=1.0, tau=1.0, residual_tol=float("inf")).residual_tol == float("inf")

@@ -544,13 +544,13 @@ def test_sarah_diagnostics_take_one_exact_gradient_per_iteration(monkeypatch):
 
 
 def test_psi_reuses_the_step_augmented_lagrangian(monkeypatch):
-    # step hands stability psi the augmented Lagrangian it has just taken
+    # step forms the augmented Lagrangian from its objective and residual
+    # and hands it to stability psi
     import sadmm.diagnostics
     import sadmm.solver
 
     problem = generate_synthetic_quadratic(200, 20, seed=3)
-    in_step = _count_calls(monkeypatch, sadmm.solver, "augmented_lagrangian")
-    in_psi = _count_calls(monkeypatch, sadmm.diagnostics, "augmented_lagrangian")
+    in_step = _count_calls(monkeypatch, sadmm.solver, "_augmented_lagrangian")
     applies = _count_calls(monkeypatch, problem.op, "apply")
     spec = EstimatorSpec("saga", batch_size=10, seed=4)
     config = SolverConfig(
@@ -559,10 +559,10 @@ def test_psi_reuses_the_step_augmented_lagrangian(monkeypatch):
     )
     result = run(problem, config)
     assert len(result.trace) == 20
-    assert len(in_step) + len(in_psi) == 20
-    # A x0 and the spectral estimate, then per sampled step A x_{t+1}, the
-    # augmented Lagrangian's A and the A inside B
-    assert len(applies) == 2 + 3 * 20
+    assert len(in_step) == 20
+    # A x0 and the spectral estimate, then per sampled step A x_{t+1} and
+    # the A inside B
+    assert len(applies) == 2 + 2 * 20
     last = result.trace[-1].diag
     ctx = sadmm.solver._make_diag_context(problem, config)
     assert last.psi == sadmm.diagnostics.stability_psi(
