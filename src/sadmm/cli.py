@@ -48,6 +48,14 @@ def _fail(exc):
     return 1
 
 
+def _check_out_dir(path):
+    """Raise FileNotFoundError, before any solving, when the directory that
+    is to hold ``path`` and the files written beside it does not exist."""
+    folder = os.path.dirname(path) or os.curdir
+    if not os.path.isdir(folder):
+        raise FileNotFoundError(f"cannot write {path}: no directory {folder}")
+
+
 def _spectral_for(problem, seed):
     try:
         return estimate_spectral(problem.op, seed=seed)
@@ -118,6 +126,7 @@ def cmd_solve(config_path):
         run_config = load_run_config(config_path)
         if run_config.trace_path is None:
             raise ConfigError("[output] missing required key 'trace' for solve")
+        _check_out_dir(run_config.trace_path)  # the plot-data CSV goes beside it
         problem = build_problem(run_config)
     except _CONFIG_ERRORS as exc:
         return _fail(exc)
@@ -256,9 +265,8 @@ def _worker_count(n_jobs):
 
 def cmd_bench(config_dir, out_path, summary=False):
     try:
-        names = sorted(
-            f for f in os.listdir(config_dir) if f.endswith(".ini")
-        )
+        _check_out_dir(out_path)  # the summary goes beside it
+        names = sorted(f for f in os.listdir(config_dir) if f.endswith(".ini"))
     except OSError as exc:
         return _fail(exc)
     if not names:

@@ -8,11 +8,27 @@ and ``FiniteSumLoss(components)`` packs a list of one kind into it. Its
 components are views of its rows, built on first use; a list mixing both
 kinds keeps a per-component loop.
 
+The rows are stored in one of two ways, fixed when they are stored; the
+estimators, the solver and the diagnostics never see which.
+
+* Dense (``_DenseRows``), an n x d array. Row dots are an einsum
+  (``_row_dots``) and the full gradient an einsum column sum
+  (``_column_mean``): O(n d) per all-rows pass.
+* Sparse (``_CsrRows``), for rows handed over as a scipy sparse matrix:
+  canonical CSR arrays (sorted, no duplicates) and the row of each
+  nonzero. Row dots and column sums are ``np.bincount`` passes over the
+  nonzeros, O(nnz). A batch is gathered with numpy over ``indptr``;
+  scipy's row indexing costs several times the batch's arithmetic, and
+  the batch is drawn on every iteration.
+
 All evaluations run the kernels ``_link``, ``_values`` and
 ``_coefficients`` (the c_i), keyed by kind; a component runs them on a
-one-row block. Row dots are row-consistent, so single-component and block
-evaluations are bit-identical, and ``full_gradient`` is the exact mean of
-the component gradients without an n x d table (``_column_mean``).
+one-row dense block. Both storages keep the two bit contracts. Row dots
+are row-consistent, so single-component and block evaluations are
+bit-identical. ``full_gradient`` is the exact mean of the component
+gradients, the axis-0 reduce of their stack, without an n x d table.
+The two storages of the same rows agree to the last bit only where the
+dense einsum happens to add a row as a sequential sum does.
 
 A row-store loss keeps a one-entry memo of the last point an all-rows
 pass saw: the link terms of every row there, and the full value and
@@ -20,7 +36,8 @@ gradient once computed. The solver scores x_{t+1} with ``full_value`` and
 takes the next full gradient at that point, which then costs only the
 column sum. The memo is keyed by the bytes of x, so -0.0 and 0.0 differ,
 an array changed in place misses and a point with a NaN is never kept. A
-hit returns exactly what a fresh evaluation returns, bit for bit.
+hit returns exactly what a fresh evaluation returns, bit for bit; it
+rests on the row store being read-only.
 ``solver.run`` drops the memo when it returns or raises.
 """
 
@@ -28,6 +45,7 @@ import functools
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 from .exceptions import ShapeError
 
@@ -61,10 +79,9 @@ def _logistic_pair(s):
     return np.where(pos, big, small), np.where(pos, small, big)
 
 
-def _link(kind, rows, targets, x):
-    """Per-row link terms at x: the logistic pair (p, q) of the sigmoid
-    margins, or the least-squares residuals as a 1-tuple."""
-    s = _row_dots(rows, x)
+def _link(kind, s, targets):
+    """Per-row link terms from the row dots s: the logistic pair (p, q) of
+    the sigmoid margins, or the least-squares residuals as a 1-tuple."""
     if kind == "sigmoid":
         return _logistic_pair(targets * s)
     return (s - targets,)
@@ -98,6 +115,94 @@ def _column_mean(coef, rows):
     return np.einsum("i,ij->j", coef, rows) / rows.shape[0]
 
 
+class _DenseRows:
+    """Rows in a read-only n x d array, under the dense kernels."""
+
+    def __init__(self, rows):
+        self.rows, self.shape = rows, rows.shape
+
+    def take(self, idx):
+        return _DenseRows(self.rows[idx])
+
+    def dots(self, x):
+        return _row_dots(self.rows, x)
+
+    def scaled(self, coef):
+        """The table of coef_i * row i."""
+        return coef[:, None] * self.rows
+
+    def column_mean(self, coef):
+        return _column_mean(coef, self.rows)
+
+    def max_sq_norm(self):
+        return max(float(r @ r) for r in self.rows)  # one BLAS dot per row
+
+    def toarray(self):
+        return self.rows
+
+
+class _CsrRows:
+    """Sparse rows as canonical CSR arrays: ``data``, column ``indices`` and
+    ``indptr``, plus ``row_ids``, the row of each nonzero.
+
+    ``np.bincount`` adds each bin's weights one by one, from 0.0, in the
+    order given. Binned by row, that is one sequential sum per row, so a
+    row's dot depends on that row alone. Binned by column, it adds each
+    column in ascending row order, as the axis-0 reduce of the table does;
+    the two differ at most in the sign of a zero.
+    """
+
+    def __init__(self, data, indices, indptr, row_ids, n_cols):
+        self.data, self.indices, self.indptr, self.row_ids = data, indices, indptr, row_ids
+        self.shape = (indptr.shape[0] - 1, n_cols)
+
+    @classmethod
+    def canonical(cls, matrix):
+        """A read-only copy of a scipy sparse matrix or array, duplicates
+        summed and the indices of each row sorted."""
+        csr = sp.csr_matrix(matrix, dtype=float, copy=True)
+        csr.sum_duplicates()
+        indptr = csr.indptr.astype(np.intp)
+        arrays = (csr.data, csr.indices.astype(np.intp), indptr,
+                  np.repeat(np.arange(csr.shape[0]), np.diff(indptr)))
+        for a in arrays:
+            a.flags.writeable = False
+        return cls(*arrays, csr.shape[1])
+
+    def take(self, idx):
+        """The rows idx, in that order, gathered over ``indptr``."""
+        starts = self.indptr[idx]
+        lengths = self.indptr[idx + 1] - starts
+        indptr = np.zeros(len(idx) + 1, dtype=np.intp)
+        np.cumsum(lengths, out=indptr[1:])
+        row_ids = np.repeat(np.arange(len(idx)), lengths)
+        pos = np.arange(row_ids.shape[0]) + (starts - indptr[:-1])[row_ids]
+        return _CsrRows(self.data[pos], self.indices[pos], indptr, row_ids, self.shape[1])
+
+    def dots(self, x):
+        return np.bincount(self.row_ids, self.data * x[self.indices], self.shape[0])
+
+    def scaled(self, coef):
+        """The dense table of coef_i * row i."""
+        table = np.zeros(self.shape)
+        table[self.row_ids, self.indices] = coef[self.row_ids] * self.data
+        return table
+
+    def column_mean(self, coef):
+        n, d = self.shape
+        if d == 1:  # the axis-0 reduce of an n x 1 table is pairwise
+            return np.add.reduce(self.scaled(coef), axis=0) / n
+        return np.bincount(self.indices, coef[self.row_ids] * self.data, d) / n
+
+    def max_sq_norm(self):
+        return float(np.bincount(self.row_ids, self.data * self.data, self.shape[0]).max())
+
+    def toarray(self):
+        dense = np.zeros(self.shape)
+        dense[self.row_ids, self.indices] = self.data
+        return dense
+
+
 class _RowComponent:
     """One row and its target, evaluated bit for bit as by the loss kernels."""
 
@@ -111,7 +216,7 @@ class _RowComponent:
     dim = property(lambda self: self.row.shape[0])
 
     def _terms(self, x):
-        return _link(self.kind, self.row[None, :], self.b, np.asarray(x, dtype=float))
+        return _link(self.kind, _row_dots(self.row[None, :], np.asarray(x, dtype=float)), self.b)
 
     def value(self, x):
         return float(_values(self.kind, self._terms(x))[0])
@@ -153,16 +258,17 @@ class LipschitzBound:
 class FiniteSumLoss:
     """Average of n smooth components sharing one input dimension.
 
-    A loss of one kind owns its row store as read-only arrays; a mixed-kind
-    loss loops over its components. ``components`` is the list given, or
-    after ``from_rows`` a tuple of views of the rows. Every evaluation is
-    pure: its result depends on x alone. The memo of the module docstring
+    A loss of one kind owns its row store, dense or CSR, as read-only
+    arrays; a mixed-kind loss loops over its components. ``components`` is
+    the list given, or after ``from_rows`` a tuple of dense row views.
+    Every evaluation is pure: its result depends on x alone. The memo of the module docstring
     is replaced as one tuple, and ``drop_memo`` releases it.
     """
 
     _kind = _rows = _targets = None  # no row store: a mixed-kind loss
     _lipschitz = None
     _memo = None  # (key, link terms of all rows, full value or None, full gradient or None)
+    # _rows is a _DenseRows or a _CsrRows, fixed by _set_rows
 
     def __init__(self, components):
         components = tuple(components)
@@ -181,8 +287,14 @@ class FiniteSumLoss:
 
     @classmethod
     def from_rows(cls, kind, rows, targets):
-        """Loss of one kind ("sigmoid" or "least_squares") over the rows of
-        an n x d array and n targets, of which it keeps a read-only copy.
+        """Loss of one kind ("sigmoid" or "least_squares") over n rows and
+        n targets, of which it keeps a read-only copy.
+
+        ``rows`` is an n x d array, stored dense, or a scipy sparse matrix
+        or array (CSR, CSC, COO, ...), stored as canonical CSR with
+        duplicates summed and indices sorted; its kernels then cost O(nnz).
+        The storage is fixed here: dense rows keep the dense kernels and
+        their traces, sparse rows never pass through scipy per evaluation.
         Raises ShapeError for an unknown kind, rows that are not a non-empty
         2-D array, a target count other than n or a sigmoid label not +-1.
         """
@@ -191,22 +303,32 @@ class FiniteSumLoss:
     def _set_rows(self, kind, rows, targets):
         if kind not in _COMPONENTS:
             raise ShapeError(f"unknown loss kind {kind!r}")
-        rows = np.array(rows, dtype=float, order="C")
+        sparse = sp.issparse(rows)
+        if not sparse:
+            rows = np.array(rows, dtype=float, order="C")
         if rows.ndim != 2 or rows.shape[0] == 0:
             raise ShapeError(f"rows must be a non-empty 2-D array, got shape {rows.shape}")
         targets = np.array(targets, dtype=float)
         if targets.shape != rows.shape[:1]:
             raise ShapeError(f"need {rows.shape[0]} targets, got shape {targets.shape}")
         _check_targets(kind, targets)
-        rows.flags.writeable = targets.flags.writeable = False
+        if sparse:
+            rows = _CsrRows.canonical(rows)
+        else:
+            rows.flags.writeable = False
+            rows = _DenseRows(rows)
+        targets.flags.writeable = False
         self._kind, self._rows, self._targets = kind, rows, targets
         self.n, self.dim = rows.shape
         return self
 
     @functools.cached_property
     def components(self):
-        """One component view per row, sharing the loss's read-only rows."""
-        return tuple(map(_COMPONENTS[self._kind], self._rows, self._targets))
+        """One component view per row of the read-only dense rows; CSR rows
+        are expanded once, byte for byte."""
+        rows = self._rows.toarray()
+        rows.flags.writeable = False
+        return tuple(map(_COMPONENTS[self._kind], rows, self._targets))
 
     def _check_x(self, x):
         x = np.asarray(x, dtype=float)
@@ -226,9 +348,9 @@ class FiniteSumLoss:
         """The memo at x; on a miss, one all-rows pass replaces it."""
         key, memo = x.tobytes(), self._memo
         if memo is None or memo[0] != key:
-            terms = _link(self._kind, self._rows, self._targets, x)
-            if math.isnan(terms[-1][0]):
-                key = None  # a NaN in x makes every row dot NaN; None never matches
+            if math.isnan(x.dot(x)):  # x has a NaN: squares never sum to one
+                key = None  # None never matches
+            terms = _link(self._kind, self._rows.dots(x), self._targets)
             memo = self._memo = (key, terms, None, None)
         return memo
 
@@ -236,10 +358,10 @@ class FiniteSumLoss:
         """Rows, targets and link terms at x of the selected components."""
         if idx is None:
             return self._rows, self._targets, self._all_rows(x)[1]
-        rows, targets, memo = self._rows[idx], self._targets[idx], self._memo
+        rows, targets, memo = self._rows.take(idx), self._targets[idx], self._memo
         if memo is not None and memo[0] == x.tobytes():
             return rows, targets, tuple([t[idx] for t in memo[1]])
-        return rows, targets, _link(self._kind, rows, targets, x)
+        return rows, targets, _link(self._kind, rows.dots(x), targets)
 
     def drop_memo(self):
         """Release the memo; later results are unchanged."""
@@ -262,7 +384,7 @@ class FiniteSumLoss:
         idx = self._check_idx(idx)
         if self._rows is not None:
             rows, targets, terms = self._block(x, idx)
-            return _coefficients(self._kind, terms, targets)[:, None] * rows
+            return rows.scaled(_coefficients(self._kind, terms, targets))
         members = self.components if idx is None else [self.components[i] for i in idx]
         return np.stack([c.gradient(x) for c in members])
 
@@ -285,14 +407,14 @@ class FiniteSumLoss:
     def full_gradient(self, x):
         """(1/n) sum of component gradients, bit for bit their axis-0 reduce.
 
-        Row-store losses take the column mean of c_i * row i
-        (``_column_mean``); mixed ones reduce the stack.
+        Row-store losses take the column mean of c_i * row i (an einsum
+        or, for CSR rows, a bincount); mixed ones reduce the stack.
         """
         if self._rows is None:
             return np.add.reduce(self.component_gradients(x), axis=0) / self.n
         key, terms, value, grad = self._all_rows(self._check_x(x))
         if grad is None:
-            grad = _column_mean(_coefficients(self._kind, terms, self._targets), self._rows)
+            grad = self._rows.column_mean(_coefficients(self._kind, terms, self._targets))
             self._memo = (key, terms, value, grad)
         return grad.copy()
 
@@ -300,14 +422,14 @@ class FiniteSumLoss:
         """Certified gradient Lipschitz constant, computed once per loss.
 
         Sigmoid components contribute SIGMOID_CURVATURE * ||a||^2 and
-        squared residuals 2 * ||r||^2 (per-row BLAS dots); the bound is the
-        maximum, and a row store scales its largest squared norm, the same
-        float because rounding is monotone.
+        squared residuals 2 * ||r||^2 (per-row BLAS dots, or sums over the
+        CSR nonzeros); the bound is the maximum, and a row store scales its
+        largest squared norm, the same float because rounding is monotone.
         """
         if self._lipschitz is None:
             if self._rows is not None:
                 scale = _COMPONENTS[self._kind].curvature
-                self._lipschitz = scale * max(float(r @ r) for r in self._rows)
+                self._lipschitz = scale * self._rows.max_sq_norm()
             else:
                 self._lipschitz = max(c.curvature * float(c.row @ c.row) for c in self.components)
         return LipschitzBound(self._lipschitz)

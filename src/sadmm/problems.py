@@ -174,7 +174,10 @@ def build_toy_reconstruction(
 
     The ground truth is a random rectangle phantom; measurements are inner
     products with the forward rows plus Gaussian noise, and the loss is the
-    row store of those rows and measurements. The sparsity transform is the
+    row store of those rows and measurements. The forward rows are built
+    and stored as CSR: a blur row holds its window's (2 radius + 1)^2
+    pixels at most and a mask row one, so set-up, scoring and full
+    gradients cost O(nnz), never O(d^2). The sparsity transform is the
     2-D forward-difference operator. Returns the Problem and the flattened
     ground-truth image.
     """
@@ -199,14 +202,15 @@ def build_toy_reconstruction(
         near_r, near_c = (np.abs(np.subtract.outer(np.arange(m), np.arange(m))) <= radius
                           for m in (height, width))
         counts = np.outer(near_r.sum(axis=1), near_c.sum(axis=1)).ravel()
-        rows = np.kron(near_r, near_c) / counts[:, None]
+        rows = sp.kron(sp.csr_matrix(near_r, dtype=float), sp.csr_matrix(near_c, dtype=float),
+                       format="csr")
+        rows.data /= np.repeat(counts, np.diff(rows.indptr))
     else:
         if not 0 < keep <= 1:
             raise ParameterError(f"keep fraction must lie in (0, 1], got {keep}")
         n_keep = max(1, int(round(keep * d)))
         kept = np.sort(substream(seed, DOMAIN_MASK, 0).choice(d, size=n_keep, replace=False))
-        rows = np.zeros((n_keep, d))
-        rows[np.arange(n_keep), kept] = 1.0
+        rows = sp.csr_matrix((np.ones(n_keep), kept, np.arange(n_keep + 1)), shape=(n_keep, d))
 
     clean = rows @ truth
     noise = noise_sigma * substream(seed, DOMAIN_NOISE, 0).standard_normal(len(clean))

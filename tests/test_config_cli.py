@@ -571,6 +571,34 @@ def test_bench_output_in_a_missing_directory_is_an_error(tmp_path, monkeypatch, 
     assert "error:" in capsys.readouterr().err
 
 
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("work started before the output directory was checked")
+
+
+def test_solve_checks_the_trace_directory_before_solving(tmp_path, monkeypatch, capsys):
+    import sadmm.cli
+
+    monkeypatch.setattr(sadmm.cli, "build_problem", _must_not_run)
+    monkeypatch.setattr(sadmm.cli, "run", _must_not_run)
+    body = BASE_SYNTH.format(trace=tmp_path / "no" / "t.csv") + "plot_data = true\n"
+    assert main(["solve", write_config(tmp_path / "run.ini", body)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "no directory" in err
+
+
+@pytest.mark.parametrize("summary", [[], ["--summary"]])
+def test_bench_checks_the_output_directory_before_any_member(tmp_path, monkeypatch, capsys,
+                                                             summary):
+    import sadmm.cli
+
+    monkeypatch.setenv("SADMM_THREADS", "1")
+    monkeypatch.setattr(sadmm.cli, "_bench_worker", _must_not_run)
+    out_csv = tmp_path / "no" / "out.csv"
+    assert main(["bench", _bench_dir(tmp_path), "-o", str(out_csv), *summary]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "no directory" in err
+
+
 def test_unwritable_bench_summary_is_an_error(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("SADMM_THREADS", "1")
     (tmp_path / "out_summary.csv").mkdir()

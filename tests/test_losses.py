@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import central_diff_gradient
 from sadmm import (
@@ -461,3 +464,173 @@ def test_row_store_components_are_views_of_its_own_copy():
         assert np.array_equal(c.a, kept_rows[i]) and c.b == labels[i]
         assert c.value(x) == sig.component_value(i, x)
         assert c.gradient(x).tobytes() == sig.component_gradient(i, x).tobytes()
+
+
+# --- CSR rows -----------------------------------------------------------------
+
+def _csr_example():
+    """A 5 x 4 least-squares matrix whose rows 0, 2 and 4 are empty, so an
+    empty row sits before, between and after the stored ones."""
+    dense = np.zeros((5, 4))
+    dense[1] = [0.5, 0.0, -2.0, 0.0]
+    dense[3] = [0.0, 1.5, 0.0, 0.25]
+    return dense, np.array([0.3, -1.0, 2.0, 0.5, -0.7])
+
+
+_SPARSE_FORMATS = [sp.csr_matrix, sp.csc_matrix, sp.coo_matrix,
+                   sp.csr_array, sp.csc_array, sp.coo_array]
+
+
+@pytest.mark.parametrize("fmt", _SPARSE_FORMATS, ids=lambda f: f.__name__)
+def test_from_rows_accepts_csr_csc_and_coo(fmt):
+    dense, targets = _csr_example()
+    want = FiniteSumLoss.from_rows("least_squares", sp.csr_matrix(dense), targets)
+    loss = FiniteSumLoss.from_rows("least_squares", fmt(dense), targets)
+    assert (loss.n, loss.dim) == (5, 4)
+    x = np.array([1.0, -2.0, 0.5, 3.0])
+    assert loss.full_value(x) == want.full_value(x)
+    assert loss.full_gradient(x).tobytes() == want.full_gradient(x).tobytes()
+    for sel in (None, [4, 1, 1, 0]):
+        assert loss.component_gradients(x, sel).tobytes() == want.component_gradients(x, sel).tobytes()
+        assert loss.component_values(x, sel).tobytes() == want.component_values(x, sel).tobytes()
+
+
+def test_sparse_rows_are_canonical():
+    # row 0 lists column 2 before column 0 and column 2 twice; COO repeats
+    # an entry of row 1
+    unsorted = sp.csr_matrix(([1.0, 2.0, 0.5, 4.0], [2, 0, 2, 1], [0, 3, 4]), shape=(2, 3))
+    coo = sp.coo_matrix(([1.0, 3.0, 4.0], ([1, 1, 0], [1, 1, 2])), shape=(2, 3))
+    for rows, indptr, indices, data in ((unsorted, [0, 2, 3], [0, 2, 1], [2.0, 1.5, 4.0]),
+                                        (coo, [0, 1, 2], [2, 1], [4.0, 4.0])):
+        loss = FiniteSumLoss.from_rows("least_squares", rows, [1.0, 2.0])
+        store = loss._rows
+        assert store.indptr.tolist() == indptr and store.indices.tolist() == indices
+        assert store.data.tolist() == data
+        twin = FiniteSumLoss.from_rows("least_squares", sp.csr_matrix(rows.toarray()), [1.0, 2.0])
+        x = np.array([0.3, -1.0, 2.0])
+        assert loss.full_gradient(x).tobytes() == twin.full_gradient(x).tobytes()
+        assert loss.component_values(x).tobytes() == twin.component_values(x).tobytes()
+
+
+def test_sparse_rows_are_a_read_only_copy():
+    dense, targets = _csr_example()
+    rows = sp.csr_matrix(dense)
+    loss = FiniteSumLoss.from_rows("least_squares", rows, targets)
+    store = loss._rows
+    for a in (store.data, store.indices, store.indptr, store.row_ids, loss._targets):
+        assert not a.flags.writeable
+    x = np.array([1.0, -2.0, 0.5, 3.0])
+    before = loss.full_gradient(x)
+    rows.data[:] = 9.0  # the caller's matrix is not the loss's
+    loss.drop_memo()
+    assert loss.full_gradient(x).tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize(
+    "kind, rows, targets",
+    [
+        ("huber", sp.csr_matrix(np.ones((2, 3))), [1.0, -1.0]),
+        ("least_squares", sp.csr_matrix((0, 3)), []),
+        ("least_squares", sp.coo_matrix(np.ones((2, 3))), [1.0, 2.0, 3.0]),
+        ("least_squares", sp.csr_array(np.ones((2, 3))), [[1.0, 2.0]]),
+        ("sigmoid", sp.csc_matrix(np.ones((2, 3))), [1.0, 0.0]),
+        ("sigmoid", sp.csr_matrix(np.ones((2, 3))), [1.0, np.nan]),
+    ],
+    ids=["unknown_kind", "rows_empty", "targets_long", "targets_2d", "label_zero", "label_nan"],
+)
+def test_sparse_from_rows_rejects_bad_input(kind, rows, targets):
+    with pytest.raises(ShapeError):
+        FiniteSumLoss.from_rows(kind, rows, targets)
+
+
+@pytest.mark.parametrize("kind", ["least_squares", "sigmoid"])
+def test_empty_sparse_row_has_a_zero_dot_and_gradient(kind):
+    dense, targets = _csr_example()
+    if kind == "sigmoid":
+        targets = np.array([1.0, -1.0, -1.0, 1.0, 1.0])
+    loss = FiniteSumLoss.from_rows(kind, sp.csr_matrix(dense), targets)
+    x = np.array([1.0, -2.0, 0.5, 3.0])
+    dots = loss._rows.dots(x)
+    assert dots.tobytes() == np.array([0.0, -0.5, 0.0, -2.25, 0.0]).tobytes()
+    for i in (0, 2, 4):
+        assert loss._rows.take(np.array([i, i])).dots(x).tobytes() == bytes(16)
+        value = 0.5 if kind == "sigmoid" else targets[i] ** 2
+        assert loss.component_value(i, x) == value
+        assert not loss.component_gradient(i, x).any()
+    assert not loss.component_gradients(x)[[0, 2, 4]].any()
+
+
+def test_sparse_components_are_dense_rows_of_the_matrix():
+    dense, targets = _csr_example()
+    rows = sp.coo_matrix(dense)
+    loss = FiniteSumLoss.from_rows("least_squares", rows, targets)
+    comps = loss.components
+    assert comps is loss.components and len(comps) == 5
+    for i, c in enumerate(comps):
+        assert isinstance(c, LeastSquaresComponent)
+        assert c.r.shape == (4,) and not c.r.flags.writeable
+        assert c.r.tobytes() == rows.toarray()[i].tobytes() and c.b == targets[i]
+
+
+@st.composite
+def _csr_losses(draw):
+    """A random CSR loss of either kind, with empty rows, a point and a batch.
+
+    Hypothesis picks the shape, density, empty rows, scale and batch; the
+    values come from a drawn seed, so that sums round as real data does.
+    """
+    n, d = draw(st.integers(1, 20)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.2, 0.5, 1.0]))
+    dense = 10.0 * rng.standard_normal((n, d)) * (rng.random((n, d)) < density)
+    dense[np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))] = 0.0
+    kind = draw(st.sampled_from(["least_squares", "sigmoid"]))
+    if kind == "sigmoid":
+        targets = rng.choice([-1.0, 1.0], size=n)
+    else:
+        targets = 10.0 * rng.standard_normal(n)
+    x = draw(st.sampled_from([0.1, 1.0, 30.0])) * rng.standard_normal(d)
+    idx = np.array(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n)))
+    return kind, sp.csr_matrix(dense), targets, x, idx
+
+
+_CSR_PROPERTY = settings(max_examples=200, deadline=None)
+
+
+@_CSR_PROPERTY
+@given(_csr_losses())
+def test_csr_row_dots_are_row_consistent(example):
+    kind, rows, targets, x, idx = example
+    loss = FiniteSumLoss.from_rows(kind, rows, targets)
+    full = loss._rows.dots(x)
+    assert loss._rows.take(idx).dots(x).tobytes() == full[idx].tobytes()
+    for i in idx:
+        assert loss._rows.take(np.array([i])).dots(x).tobytes() == full[i : i + 1].tobytes()
+    for name in ("component_values", "component_gradients"):
+        block = getattr(FiniteSumLoss.from_rows(kind, rows, targets), name)(x, idx)
+        assert block.tobytes() == getattr(loss, name)(x)[idx].tobytes()
+
+
+@_CSR_PROPERTY
+@given(_csr_losses())
+def test_csr_full_gradient_and_value_are_exact_means(example):
+    kind, rows, targets, x, _ = example
+    loss = FiniteSumLoss.from_rows(kind, rows, targets)
+    stacked = np.stack([loss.component_gradient(i, x) for i in range(loss.n)])
+    assert np.array_equal(loss.full_gradient(x), np.add.reduce(stacked, axis=0) / loss.n)
+    values = np.array([loss.component_value(i, x) for i in range(loss.n)])
+    assert loss.full_value(x) == np.add.reduce(values) / loss.n
+
+
+@_CSR_PROPERTY
+@given(_csr_losses())
+def test_csr_memo_hit_equals_a_fresh_loss(example):
+    kind, rows, targets, x, idx = example
+    warm = FiniteSumLoss.from_rows(kind, rows, targets)
+    warm.full_value(x)
+    assert warm.full_gradient(x).tobytes() == FiniteSumLoss.from_rows(kind, rows, targets).full_gradient(x).tobytes()
+    for sel in (idx, None):
+        for name in ("component_values", "component_gradients"):
+            fresh = getattr(FiniteSumLoss.from_rows(kind, rows, targets), name)(x, sel)
+            assert getattr(warm, name)(x, sel).tobytes() == fresh.tobytes()
+    assert warm.full_value(x) == FiniteSumLoss.from_rows(kind, rows, targets).full_value(x)

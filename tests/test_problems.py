@@ -225,6 +225,21 @@ def test_toy_reconstruction_blur_rows_match_a_per_pixel_window(height, width, ra
     assert rows.tobytes() == expected.tobytes()
 
 
+def test_row_storage_follows_the_builder():
+    # blur and mask rows are stored as CSR, the other builders' rows dense
+    from sadmm.losses import _CsrRows, _DenseRows
+
+    blur, _ = build_toy_reconstruction(32, 32, forward="blur", radius=1)
+    assert isinstance(blur.loss._rows, _CsrRows) and blur.loss._rows.data.size == 8836
+    assert blur.loss.lipschitz_bound().L == 0.5
+    mask, _ = build_toy_reconstruction(8, 8, forward="mask", keep=0.5)
+    assert isinstance(mask.loss._rows, _CsrRows) and mask.loss._rows.data.size == 32
+    rng = np.random.default_rng(7)
+    data = dataset_from_dense(rng.standard_normal((6, 3)), [1.0, -1.0] * 3)
+    for problem in (build_fused_lasso(data), generate_synthetic_quadratic(6, 3)):
+        assert isinstance(problem.loss._rows, _DenseRows)
+
+
 def test_toy_reconstruction_parameter_errors():
     with pytest.raises(ParameterError):
         build_toy_reconstruction(8, 8, forward="mask", keep=0.0)

@@ -1,4 +1,4 @@
-"""One sha256 per seeded solve of the benchmark's three workloads.
+"""A sha256 and the final objective of each seeded benchmark solve.
 
     python3 tools/trace_digest.py --seed 1 > digest_seed1.txt
 
@@ -6,11 +6,13 @@ Run from any directory; the program is imported from ``src/`` of this
 checkout and the workloads from ``benchmarks/workloads.py``, which is only
 imported. Each solve of a round (181 per seed: fused_lasso, blur_recon and
 quadratic_tol, in the benchmark's order) is run once, and its line reads
-``<workload> <index> <role>_<kind>_<instance> <sha256>``. The digest covers
-every trace record except ``wall_ms`` (iteration, epoch, objective,
-residual and the diagnostics record when present) and the bytes of the
-final x, z and u. Two checkouts whose outputs ``diff`` clean produced
-byte-identical traces.
+``<workload> <index> <role>_<kind>_<instance> <sha256> <objective>``. The
+digest covers every trace record except ``wall_ms`` (iteration, epoch,
+objective, residual and the diagnostics record when present) and the
+bytes of the final x, z and u; ``<objective>`` is the ``repr`` of the
+last record's objective. Two checkouts whose outputs ``diff`` clean
+produced byte-identical traces, and where a change is declared, the same
+``diff`` shows how far each final objective moved.
 """
 
 import argparse
@@ -70,7 +72,8 @@ def main(argv=None):
                 config = load_run_config(op.config).solver
                 result = run(problems[op.instance], config)
                 label = f"{op.role}_{op.kind}_{op.instance}"
-                print(f"{name} {i} {label} {solve_digest(result)}", flush=True)
+                final = float(result.trace[-1].objective)
+                print(f"{name} {i} {label} {solve_digest(result)} {final!r}", flush=True)
     return 0
 
 
