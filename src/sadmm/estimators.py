@@ -37,9 +37,6 @@ __all__ = [
     "theoretical_constants",
 ]
 
-KINDS = ("full", "sgd", "saga", "svrg", "sarah")
-
-
 @dataclass(frozen=True)
 class EstimatorSpec:
     """Which backend to use and its sampling parameters.
@@ -92,6 +89,9 @@ class VarianceConstants(NamedTuple):
 class GradientEstimator:
     """Base class; concrete backends implement ``estimate``.
 
+    Every backend is built as ``Backend(spec, loss, x0)``; the stateless
+    ones ignore x0.
+
     Attributes
     ----------
     evals : int
@@ -102,7 +102,7 @@ class GradientEstimator:
         Number of ``estimate`` calls made so far.
     """
 
-    def __init__(self, spec, loss):
+    def __init__(self, spec, loss, x0):
         self.spec = spec
         self.loss = loss
         self.n = loss.n
@@ -152,9 +152,6 @@ class FullEstimator(GradientEstimator):
     def upsilon_gamma(self, x):
         return 0.0, 0.0
 
-    def diagnostics(self, x, g_emitted):
-        return EstimatorDiagnostics(0.0, 0.0, 0.0)
-
 
 class SgdEstimator(GradientEstimator):
     """Plain mini-batch gradient; unbiased, no variance reduction."""
@@ -185,7 +182,7 @@ class SagaEstimator(GradientEstimator):
     """
 
     def __init__(self, spec, loss, x0):
-        super().__init__(spec, loss)
+        super().__init__(spec, loss, x0)
         self.phi_grads = loss.component_gradients(x0)
         self.phi_mean = np.add.reduce(self.phi_grads, axis=0) / self.n
         self.evals += self.n
@@ -220,7 +217,7 @@ class SvrgEstimator(GradientEstimator):
     """Anchored estimator re-anchoring every ``epoch_len`` calls."""
 
     def __init__(self, spec, loss, x0):
-        super().__init__(spec, loss)
+        super().__init__(spec, loss, x0)
         self.epoch_len = spec.epoch_len or math.ceil(self.n / spec.batch_size)
         self.anchor_x = np.array(x0, dtype=float)
         self.anchor_full_grad = loss.full_gradient(self.anchor_x)
@@ -261,17 +258,14 @@ class SarahEstimator(GradientEstimator):
     The first call emits the exact gradient computed at initialization.
     Afterwards each call restarts with probability 1 / restart_p and
     otherwise adds the mini-batch difference quotient to the previous
-    estimate. ``_force_pt`` / ``_force_batch`` are test hooks overriding
-    the restart draw and the sampled batch.
+    estimate.
     """
 
     def __init__(self, spec, loss, x0):
-        super().__init__(spec, loss)
+        super().__init__(spec, loss, x0)
         self.prev_x = np.array(x0, dtype=float)
         self.prev_estimate = loss.full_gradient(self.prev_x)
         self.evals += self.n
-        self._force_pt = None
-        self._force_batch = None
 
     def _recursion(self, x, idx):
         gx = self.loss.component_gradients(x, idx)
@@ -284,18 +278,11 @@ class SarahEstimator(GradientEstimator):
             g = self.prev_estimate.copy()
         else:
             rng = self._stream(self.t)
-            if self._force_pt is not None:
-                restart = self._force_pt == 0
-            else:
-                restart = rng.random() < 1.0 / self.spec.restart_p
-            if restart:
+            if rng.random() < 1.0 / self.spec.restart_p:
                 g = self.loss.full_gradient(x)
                 self.evals += self.n
             else:
-                if self._force_batch is not None:
-                    idx = np.asarray(self._force_batch, dtype=int)
-                else:
-                    idx = self._draw_batch(rng)
+                idx = self._draw_batch(rng)
                 g = self._recursion(x, idx)
                 self.evals += 2 * len(idx)
         self.prev_x = np.array(x)
@@ -318,6 +305,7 @@ _BACKENDS = {
     "svrg": SvrgEstimator,
     "sarah": SarahEstimator,
 }
+KINDS = tuple(_BACKENDS)
 
 
 def init_estimator(spec, loss, x0):
@@ -329,10 +317,7 @@ def init_estimator(spec, loss, x0):
         raise ParameterError(
             f"batch_size {spec.batch_size} exceeds component count {loss.n}"
         )
-    cls = _BACKENDS[spec.kind]
-    if spec.kind in ("full", "sgd"):
-        return cls(spec, loss)
-    return cls(spec, loss, x0)
+    return _BACKENDS[spec.kind](spec, loss, x0)
 
 
 def theoretical_constants(spec, L, n):

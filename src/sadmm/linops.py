@@ -7,8 +7,9 @@ vertical stacking. ``estimate_spectral`` produces the two spectral
 quantities the step-size analysis needs: the squared operator norm
 (largest eigenvalue of A^T A), from a seeded Lanczos iteration, and the
 smallest eigenvalue of A A^T, which is exactly 0 whenever out_dim > in_dim
-(rank rule) and is otherwise computed densely or by Lanczos on a shifted
-map.
+(rank rule) and otherwise comes from the same Lanczos iteration on a
+shifted map. Both use ``apply`` and ``adjoint`` alone; no operator is
+materialized.
 """
 
 import numpy as np
@@ -230,10 +231,6 @@ class SpectralEstimates:
 # exact zeros (rank deficiency), mirroring the usual rank tolerance.
 _ZERO_REL_TOL = 1e-10
 
-# Above this output dimension the dense eigendecomposition of AA^T is
-# replaced by a Lanczos iteration on the shifted map.
-_DENSE_LIMIT = 2000
-
 
 def _lanczos(matvec, dim, tol, max_iter, rng):
     """Largest eigenvalue of a symmetric PSD map given by ``matvec``.
@@ -296,10 +293,11 @@ def estimate_spectral(op, tol=1e-10, max_iter=10000, seed=0):
     space is exhausted. The smallest eigenvalue of A A^T follows from the
     shape where it can: when ``out_dim > in_dim`` the rank of A A^T is at
     most ``in_dim``, so it is exactly 0 and nothing more is computed.
-    Otherwise it comes from a dense eigendecomposition of A A^T while
-    ``out_dim`` stays at or below 2000, and above that from the same
-    Lanczos iteration on the shifted map ``op_norm_sq * Id - A A^T``.
-    Results are deterministic given ``seed``.
+    Otherwise it is ``op_norm_sq`` minus the largest Ritz value of the same
+    Lanczos iteration on the shifted map ``op_norm_sq * Id - A A^T``,
+    from a second seeded start vector; an estimate below 1e-10 times
+    ``op_norm_sq`` is an exact 0 (rank deficiency). The operator is never
+    materialized. Results are deterministic given ``seed``.
 
     Raises
     ------
@@ -327,27 +325,19 @@ def estimate_spectral(op, tol=1e-10, max_iter=10000, seed=0):
     if op.out_dim > op.in_dim:
         # rank(AA^T) <= in_dim < out_dim, so AA^T is singular.
         return SpectralEstimates(op_norm_sq, 0.0)
-    if op.out_dim <= _DENSE_LIMIT:
-        dense = op.to_dense()
-        gram = dense @ dense.T
-        eigs = np.linalg.eigvalsh(gram)
-        lam_min = float(eigs[0])
-        lam_max = float(eigs[-1])
-    else:
-        def shifted(v):
-            return op_norm_sq * v - op.apply(op.adjoint(v))
 
-        rng2 = substream(seed, DOMAIN_SPECTRAL, 1)
-        mu, ok = _lanczos(shifted, op.out_dim, tol, max_iter, rng2)
-        lam_min = op_norm_sq - mu
-        lam_max = op_norm_sq
-        if not ok:
-            raise SpectralEstimationError(
-                f"shifted Lanczos iteration on A A^T did not converge in {max_iter} steps",
-                best=SpectralEstimates(op_norm_sq, max(0.0, lam_min)),
-            )
+    def shifted(v):
+        return op_norm_sq * v - op.apply(op.adjoint(v))
 
-    if lam_min < _ZERO_REL_TOL * max(lam_max, op_norm_sq):
+    rng = substream(seed, DOMAIN_SPECTRAL, 1)
+    mu, ok = _lanczos(shifted, op.out_dim, tol, max_iter, rng)
+    lam_min = op_norm_sq - mu
+    if not ok:
+        raise SpectralEstimationError(
+            f"shifted Lanczos iteration on A A^T did not converge in {max_iter} steps",
+            best=SpectralEstimates(op_norm_sq, max(0.0, lam_min)),
+        )
+    if lam_min < _ZERO_REL_TOL * op_norm_sq:
         lam_min = 0.0
     return SpectralEstimates(op_norm_sq, lam_min)
 

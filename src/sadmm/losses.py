@@ -4,9 +4,10 @@ The smooth term is an average H(x) = (1/n) sum_i H_i(x) of sigmoid
 losses 1 / (1 + exp(b <a, x>)) or squared residuals (<r, x> - b)^2, so
 gradient i is a scalar c_i times row i. A loss is one row store
 ``(kind, rows, targets)``: builders hand it to ``FiniteSumLoss.from_rows``,
-and ``FiniteSumLoss(components)`` packs a list of one kind into it. Its
-components are views of its rows, built on first use; a list mixing both
-kinds keeps a per-component loop.
+and ``FiniteSumLoss(components)`` packs a list of one kind into it; a
+list that mixes kinds is rejected. Every loss therefore has the row store,
+the memo below and one of the two storages. Its components are views of
+its rows, built on first use.
 
 The rows are stored in one of two ways, fixed when they are stored; the
 estimators, the solver and the diagnostics never see which.
@@ -258,14 +259,15 @@ class LipschitzBound:
 class FiniteSumLoss:
     """Average of n smooth components sharing one input dimension.
 
-    A loss of one kind owns its row store, dense or CSR, as read-only
-    arrays; a mixed-kind loss loops over its components. ``components`` is
-    the list given, or after ``from_rows`` a tuple of dense row views.
-    Every evaluation is pure: its result depends on x alone. The memo of the module docstring
-    is replaced as one tuple, and ``drop_memo`` releases it.
+    Every loss is of one kind and owns its row store, dense or CSR, as
+    read-only arrays; a component list that mixes kinds, or holds a kind
+    other than "sigmoid" and "least_squares", raises ShapeError.
+    ``components`` is the list given, or after ``from_rows`` a tuple of
+    dense row views. Every evaluation is pure: its result depends on x
+    alone. The memo of the module docstring is replaced as one tuple, and
+    ``drop_memo`` releases it.
     """
 
-    _kind = _rows = _targets = None  # no row store: a mixed-kind loss
     _lipschitz = None
     _memo = None  # (key, link terms of all rows, full value or None, full gradient or None)
     # _rows is a _DenseRows or a _CsrRows, fixed by _set_rows
@@ -278,11 +280,10 @@ class FiniteSumLoss:
         for c in components:
             if c.dim != dim:
                 raise ShapeError(f"all components must share dim {dim}, got {c.dim}")
-        kinds = {c.kind for c in components}
-        if len(kinds) == 1 and kinds <= _COMPONENTS.keys():
-            self._set_rows(kinds.pop(), [c.row for c in components], [c.b for c in components])
-        else:
-            self.n, self.dim = len(components), dim
+        kinds = sorted({c.kind for c in components})
+        if len(kinds) != 1 or kinds[0] not in _COMPONENTS:
+            raise ShapeError(f"a loss holds components of one known kind, got {kinds}")
+        self._set_rows(kinds[0], [c.row for c in components], [c.b for c in components])
         self.components = components
 
     @classmethod
@@ -371,22 +372,16 @@ class FiniteSumLoss:
         """Values of the selected components at x, in the order of idx."""
         x = self._check_x(x)
         idx = self._check_idx(idx)
-        if self._rows is not None:
-            values = _values(self._kind, self._block(x, idx)[2])
-            # all the sigmoid values are the memo's own array
-            return values.copy() if idx is None and self._kind == "sigmoid" else values
-        members = self.components if idx is None else [self.components[i] for i in idx]
-        return np.array([c.value(x) for c in members])
+        values = _values(self._kind, self._block(x, idx)[2])
+        # all the sigmoid values are the memo's own array
+        return values.copy() if idx is None and self._kind == "sigmoid" else values
 
     def component_gradients(self, x, idx=None):
         """Gradients of the selected components at x, stacked row-wise."""
         x = self._check_x(x)
         idx = self._check_idx(idx)
-        if self._rows is not None:
-            rows, targets, terms = self._block(x, idx)
-            return rows.scaled(_coefficients(self._kind, terms, targets))
-        members = self.components if idx is None else [self.components[i] for i in idx]
-        return np.stack([c.gradient(x) for c in members])
+        rows, targets, terms = self._block(x, idx)
+        return rows.scaled(_coefficients(self._kind, terms, targets))
 
     def component_value(self, i, x):
         return float(self.component_values(x, np.array([i]))[0])
@@ -396,8 +391,6 @@ class FiniteSumLoss:
 
     def full_value(self, x):
         """(1/n) sum of component values, accumulated in ascending order."""
-        if self._rows is None:
-            return float(np.add.reduce(self.component_values(x)) / self.n)
         key, terms, value, grad = self._all_rows(self._check_x(x))
         if value is None:
             value = float(np.add.reduce(_values(self._kind, terms)) / self.n)
@@ -407,11 +400,9 @@ class FiniteSumLoss:
     def full_gradient(self, x):
         """(1/n) sum of component gradients, bit for bit their axis-0 reduce.
 
-        Row-store losses take the column mean of c_i * row i (an einsum
-        or, for CSR rows, a bincount); mixed ones reduce the stack.
+        It is the column mean of c_i * row i, an einsum over dense rows or
+        a bincount over the CSR nonzeros, so no n x d table is built.
         """
-        if self._rows is None:
-            return np.add.reduce(self.component_gradients(x), axis=0) / self.n
         key, terms, value, grad = self._all_rows(self._check_x(x))
         if grad is None:
             grad = self._rows.column_mean(_coefficients(self._kind, terms, self._targets))
@@ -423,13 +414,10 @@ class FiniteSumLoss:
 
         Sigmoid components contribute SIGMOID_CURVATURE * ||a||^2 and
         squared residuals 2 * ||r||^2 (per-row BLAS dots, or sums over the
-        CSR nonzeros); the bound is the maximum, and a row store scales its
-        largest squared norm, the same float because rounding is monotone.
+        CSR nonzeros); the bound is the maximum, which scales the largest
+        squared norm, the same float because rounding is monotone.
         """
         if self._lipschitz is None:
-            if self._rows is not None:
-                scale = _COMPONENTS[self._kind].curvature
-                self._lipschitz = scale * self._rows.max_sq_norm()
-            else:
-                self._lipschitz = max(c.curvature * float(c.row @ c.row) for c in self.components)
+            scale = _COMPONENTS[self._kind].curvature
+            self._lipschitz = scale * self._rows.max_sq_norm()
         return LipschitzBound(self._lipschitz)

@@ -71,6 +71,20 @@ def test_full_estimator_stateless_and_exact():
     assert diag.upsilon == 0.0 and diag.gamma == 0.0 and diag.mse_exact == 0.0
 
 
+def test_full_estimator_diagnostics_measure_the_emitted_error():
+    # mse_exact is ||g_emitted - grad H(x)||^2 for every backend, the exact
+    # one included: it measures the vector handed in, not the backend
+    rng = np.random.default_rng(4)
+    loss = quad_loss(rng)
+    est = init_estimator(EstimatorSpec("full"), loss, np.zeros(loss.dim))
+    x = rng.standard_normal(loss.dim)
+    e = np.zeros(loss.dim)
+    e[[0, 2]] = [0.5, -2.0]
+    diag = est.diagnostics(x, loss.full_gradient(x) + e)
+    assert diag.upsilon == 0.0 and diag.gamma == 0.0
+    assert diag.mse_exact == pytest.approx(4.25, rel=1e-12)
+
+
 @pytest.mark.parametrize("b", [1, 3, 12])
 def test_saga_fresh_table_emits_full_gradient(b):
     rng = np.random.default_rng(4)
@@ -121,8 +135,16 @@ def test_sarah_forced_full_batch_recursion_identity():
     est = init_estimator(EstimatorSpec("sarah", batch_size=6, restart_p=8.0), loss, x0)
     est.estimate(x0)
     x1 = rng.standard_normal(4)
-    est._force_pt = 1
-    est._force_batch = np.arange(6)
+
+    class NoRestartFullBatch:
+        # a stream whose restart draw never fires and whose batch is every row
+        def random(self):
+            return 1.0
+
+        def integers(self, *args, **kwargs):
+            return np.arange(6)
+
+    est._stream = lambda t: NoRestartFullBatch()
     prev = est.prev_estimate.copy()
     g = est.estimate(x1)
     expected = loss.full_gradient(x1) - loss.full_gradient(x0) + prev

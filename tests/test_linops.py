@@ -124,14 +124,20 @@ def test_spectral_stacked_difference_identity_is_singular():
 def test_spectral_matches_dense_oracle():
     rng = np.random.default_rng(11)
     shapes = [(5, 5), (8, 12), (12, 8), (50, 40), (40, 50), (3, 50)]
-    for m, d in shapes:
-        mat = rng.standard_normal((m, d))
-        op = DenseMatrix(mat)
+    ops = [DenseMatrix(rng.standard_normal((m, d))) for m, d in shapes]
+    # AA^T of the 49 x 50 differences has eigenvalues 2 - 2 cos(k pi / 50),
+    # and the 10 x 30 product has rank 4
+    rank4 = DenseMatrix(rng.standard_normal((10, 4)) @ rng.standard_normal((4, 30)))
+    ops += [FiniteDifference1D(50), rank4]
+    for op in ops:
+        mat = op.to_dense()
         se = estimate_spectral(op, tol=1e-12, max_iter=200000, seed=5)
         ata_eigs = np.linalg.eigvalsh(mat.T @ mat)
         aat_eigs = np.linalg.eigvalsh(mat @ mat.T)
         assert se.op_norm_sq == pytest.approx(ata_eigs[-1], rel=1e-6)
-        if m <= d:
+        if op is rank4:
+            assert se.lambda_min_aat == 0.0
+        elif op.out_dim <= op.in_dim:
             assert se.lambda_min_aat == pytest.approx(aat_eigs[0], rel=1e-6)
         else:
             assert se.lambda_min_aat == 0.0
@@ -182,7 +188,8 @@ class RowDifferences(LinearOperator):
 
     A = D kron I_cols with D the (rows-1) x rows difference matrix, so AA^T
     has the eigenvalues 2 - 2 cos(k pi / rows), k = 1..rows-1, each
-    ``cols`` times. Not materializable, to keep the dense path out.
+    ``cols`` times. Not materializable: the estimate must use apply and
+    adjoint alone.
     """
 
     def __init__(self, rows, cols):
@@ -202,7 +209,7 @@ class RowDifferences(LinearOperator):
         return out.ravel()
 
     def to_dense(self):
-        raise AssertionError("the shifted branch must not materialize the operator")
+        raise AssertionError("spectral estimation must not materialize the operator")
 
 
 def test_spectral_shifted_branch_matches_closed_form():
@@ -211,6 +218,15 @@ def test_spectral_shifted_branch_matches_closed_form():
     se = estimate_spectral(op, seed=3)
     assert se.op_norm_sq == pytest.approx(2.0 + 2.0 * math.cos(math.pi / 8), rel=1e-10)
     assert se.lambda_min_aat == pytest.approx(2.0 - 2.0 * math.cos(math.pi / 8), rel=1e-9)
+
+
+def test_spectral_small_square_like_operator_is_not_materialized():
+    # out_dim <= in_dim <= 2000: lambda_min(AA^T) still comes from Lanczos
+    op = RowDifferences(6, 5)
+    assert op.out_dim <= op.in_dim <= 2000
+    se = estimate_spectral(op, seed=3)
+    assert se.op_norm_sq == pytest.approx(2.0 + 2.0 * math.cos(math.pi / 6), rel=1e-10)
+    assert se.lambda_min_aat == pytest.approx(2.0 - 2.0 * math.cos(math.pi / 6), rel=1e-9)
 
 
 def test_dense_loader_roundtrip(tmp_path):

@@ -121,16 +121,6 @@ def _banded_least_squares_loss(rng):
     )
 
 
-def _mixed_loss(rng):
-    comps = [
-        SigmoidComponent(rng.standard_normal(6), rng.choice([-1.0, 1.0]))
-        if i % 3
-        else LeastSquaresComponent(rng.standard_normal(6), rng.standard_normal())
-        for i in range(20)
-    ]
-    return FiniteSumLoss(comps)
-
-
 @pytest.mark.parametrize(
     "make",
     [
@@ -138,9 +128,8 @@ def _mixed_loss(rng):
         _banded_least_squares_loss,
         lambda rng: random_sigmoid_loss(rng, n=37, d=1),
         lambda rng: random_least_squares_loss(rng, n=37, d=1),
-        _mixed_loss,
     ],
-    ids=["onehot_sigmoid", "banded_least_squares", "d1_sigmoid", "d1_least_squares", "mixed"],
+    ids=["onehot_sigmoid", "banded_least_squares", "d1_sigmoid", "d1_least_squares"],
 )
 def test_full_gradient_equals_reduced_component_stack(make):
     # full_gradient takes no n x d table; it must still equal the axis-0
@@ -252,18 +241,21 @@ def test_extreme_scores_do_not_overflow():
     assert c.value([-1.0]) == pytest.approx(1.0)
 
 
-def test_mixed_kinds_fall_back_to_loop():
+def test_mixed_kinds_are_rejected():
+    # a loss is one row store of one kind; there is no per-component loop
     rng = np.random.default_rng(5)
     comps = [
         SigmoidComponent(rng.standard_normal(4), 1.0),
         LeastSquaresComponent(rng.standard_normal(4), 0.3),
     ]
-    loss = FiniteSumLoss(comps)
-    x = rng.standard_normal(4)
-    assert np.array_equal(loss.component_gradient(0, x), comps[0].gradient(x))
-    assert np.array_equal(loss.component_gradient(1, x), comps[1].gradient(x))
-    stacked = np.stack([c.gradient(x) for c in comps])
-    assert np.array_equal(loss.full_gradient(x), np.add.reduce(stacked, axis=0) / 2)
+    with pytest.raises(ShapeError, match="least_squares.*sigmoid"):
+        FiniteSumLoss(comps)
+
+    class Huber(LeastSquaresComponent):
+        kind = "huber"
+
+    with pytest.raises(ShapeError, match="huber"):
+        FiniteSumLoss([Huber(rng.standard_normal(4), 0.3)])
 
 
 def test_dimension_and_index_errors():

@@ -560,9 +560,10 @@ def test_psi_reuses_the_step_augmented_lagrangian(monkeypatch):
     result = run(problem, config)
     assert len(result.trace) == 20
     assert len(in_step) == 20
-    # A x0 and the spectral estimate, then per sampled step A x_{t+1} and
+    # A x0 and one step of each spectral Lanczos run (on A^T A and on the
+    # shifted A A^T of the identity), then per sampled step A x_{t+1} and
     # the A inside B
-    assert len(applies) == 2 + 2 * 20
+    assert len(applies) == 3 + 2 * 20
     last = result.trace[-1].diag
     ctx = sadmm.solver._make_diag_context(problem, config)
     assert last.psi == sadmm.diagnostics.stability_psi(
