@@ -9,19 +9,22 @@ identities used by the tests exact.
 
 Each estimator owns a counter-based random stream keyed by
 (seed, iteration), so replaying a run with the same seed reproduces the
-exact draw sequence regardless of process or thread layout. An estimator
-instance is exclusively owned by one solver run; ``estimate`` mutates
-internal state and is not reentrant.
+exact draw sequence regardless of process or thread layout. It builds one
+generator, on its first draw, and moves it to each iteration's stream: the
+generator ``_stream`` returns is valid only until the next ``_stream`` call.
+An estimator instance is exclusively owned by one solver run; ``estimate``
+mutates internal state and is not reentrant.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .exceptions import NoCertifiedConstantsError, ParameterError, ShapeError
-from .rng import DOMAIN_BATCH, substream
+from .rng import DOMAIN_BATCH, Substreams
 
 __all__ = [
     "EstimatorSpec",
@@ -109,8 +112,13 @@ class GradientEstimator:
         self.evals = 0
         self.t = 0
 
+    @cached_property
+    def _batches(self):
+        # built on the first draw: the full backend never draws
+        return Substreams(self.spec.seed, DOMAIN_BATCH)
+
     def _stream(self, t):
-        return substream(self.spec.seed, DOMAIN_BATCH, t)
+        return self._batches.at(t)
 
     def _draw_batch(self, rng):
         return rng.integers(0, self.n, size=self.spec.batch_size)

@@ -41,11 +41,12 @@ class SpectralEstimationError(RuntimeError):
 
 
 class DivergenceError(RuntimeError):
-    """An iterate or the objective became non-finite; ``iteration`` names the step."""
+    """x, z, u or the objective (``what``) became non-finite at step ``iteration``."""
 
-    def __init__(self, iteration, what="iterate"):
+    def __init__(self, iteration, what):
         super().__init__(f"non-finite {what} at iteration {iteration}")
         self.iteration = iteration
+        self.what = what
 
 
 class NoCertifiedConstantsError(ValueError):

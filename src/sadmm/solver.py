@@ -217,7 +217,7 @@ def step(state, problem, config, estimator, diag_ctx=None):
         x=x_next, z=z_next, u=u_next, x_prev=state.x, u_prev=state.u, t=state.t + 1,
         ax=ax_next,
     )
-    residual = float(np.linalg.norm(resid_vec))
+    residual = math.sqrt(resid_vec.dot(resid_vec))
     if diag_ctx is not None:
         # Before x_{t+1} is scored, while the loss's memo still holds x_t:
         # the estimator error and SARAH's bounding sequence both take the
@@ -291,9 +291,9 @@ def run(problem, config, x0=None, spectral=None):
     reported iterate follows ``output_rule``: the last state, or one drawn
     uniformly from the trace. ``spectral`` (SpectralEstimates) is used by
     the diagnostics when ``diag_every > 0``; when omitted it is estimated
-    here with ``config.seed``. A non-finite iterate or recorded objective
-    raises DivergenceError. The loss's memo is dropped when the run returns
-    or raises.
+    here with ``config.seed``. A non-finite x, z, u or recorded objective
+    raises DivergenceError naming it. The loss's memo is dropped when the
+    run returns or raises.
     """
     loss = problem.loss
     if x0 is None:
@@ -333,12 +333,9 @@ def _iterate(problem, config, x0, spectral):
         new_state, record = step(
             state, problem, config, estimator, diag_ctx if sampled else None
         )
-        if not (
-            np.isfinite(new_state.x).all()
-            and np.isfinite(new_state.z).all()
-            and np.isfinite(new_state.u).all()
-        ):
-            raise DivergenceError(new_state.t)
+        for name, v in (("x", new_state.x), ("z", new_state.z), ("u", new_state.u)):
+            if not np.logical_and.reduce(np.isfinite(v)):
+                raise DivergenceError(new_state.t, name)
         if not math.isfinite(record.objective):
             raise DivergenceError(new_state.t, "objective")
         trace.append(record)
@@ -346,11 +343,11 @@ def _iterate(problem, config, x0, spectral):
             iterates.append((new_state.x, new_state.z))
         stalled = False
         if 0.0 < config.residual_tol < math.inf:
-            dx = float(np.linalg.norm(new_state.x - state.x))
+            dx = new_state.x - state.x
             stalled = (
                 record.primal_residual <= config.residual_tol
-                and dx
-                <= config.residual_tol * (1.0 + float(np.linalg.norm(new_state.x)))
+                and math.sqrt(dx.dot(dx))
+                <= config.residual_tol * (1.0 + math.sqrt(new_state.x.dot(new_state.x)))
             )
         state = new_state
         if stalled:

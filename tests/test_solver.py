@@ -330,6 +330,35 @@ def test_run_reports_divergence_on_non_finite_objective():
     assert excinfo.value.iteration == 1
 
 
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_run_names_the_non_finite_x():
+    # g / tau = 1e308 / 0.5 overflows, so x_1 = -inf; z_1 = prox(x_0) and
+    # u_1 stay finite only until x_1 reaches them
+    loss = FiniteSumLoss([LeastSquaresComponent([1.0], 0.0)])
+    problem = Problem(loss=loss, reg=L1(0.1), op=Identity(1), name="x_overflow")
+    config = SolverConfig(
+        beta=1.0, tau=0.5, sigma=0.9, estimator=EstimatorSpec("full"), max_epochs=3
+    )
+    with pytest.raises(DivergenceError, match="^non-finite x at iteration 1$") as excinfo:
+        run(problem, config, x0=np.array([1e308]))
+    assert (excinfo.value.what, excinfo.value.iteration) == ("x", 1)
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_run_names_the_non_finite_u():
+    # A = [1e200]: x_1 = 1 - 1/tau = -1e120 is finite and z_1 = prox(A x_0)
+    # is finite, but A x_1 overflows, so only u_1 = sigma beta (A x_1 - z_1)
+    # is infinite
+    loss = FiniteSumLoss([LeastSquaresComponent([1.0], 0.0)])
+    problem = Problem(loss=loss, reg=L1(0.1), op=DenseMatrix([[1e200]]), name="u_overflow")
+    config = SolverConfig(
+        beta=1.0, tau=1e-120, sigma=0.9, estimator=EstimatorSpec("full"), max_epochs=3
+    )
+    with pytest.raises(DivergenceError, match="^non-finite u at iteration 1$") as excinfo:
+        run(problem, config, x0=np.array([1.0]))
+    assert (excinfo.value.what, excinfo.value.iteration) == ("u", 1)
+
+
 def test_run_is_deterministic_given_seed():
     problem = small_problem(seed=11)
     spec = EstimatorSpec("sarah", batch_size=3, restart_p=4.0, seed=21)
