@@ -16,7 +16,6 @@ from .diagnostics import (
     subgradient_p_constant,
 )
 from .estimators import (
-    EstimatorDiagnostics,
     EstimatorSpec,
     GradientEstimator,
     VarianceConstants,

@@ -7,6 +7,13 @@ restarts). Mini-batches are drawn uniformly WITH replacement, which is
 what makes the batch terms independent and the mean-squared-error
 identities used by the tests exact.
 
+Every component gradient is c_i(x) times row a_i, so the backends hold
+coefficients, not gradient tables: SAGA stores n scalars, SVRG the n
+coefficients at its anchor, SGD and SARAH none. An estimate sums the
+gathered batch rows by column over their stored entries (``diff_sum``
+subtracts c_x[i] a_ij - c_y[i] a_ij, never (c_x[i] - c_y[i]) a_ij), so
+it has the bytes of the table formula.
+
 Each estimator owns a counter-based random stream keyed by
 (seed, iteration), so replaying a run with the same seed reproduces the
 exact draw sequence regardless of process or thread layout. It builds one
@@ -28,7 +35,6 @@ from .rng import DOMAIN_BATCH, Substreams
 
 __all__ = [
     "EstimatorSpec",
-    "EstimatorDiagnostics",
     "VarianceConstants",
     "GradientEstimator",
     "FullEstimator",
@@ -66,20 +72,6 @@ class EstimatorSpec:
         if self.kind == "sarah":
             if self.restart_p is None or not self.restart_p > 1:
                 raise ParameterError("sarah requires restart_p > 1")
-
-
-@dataclass
-class EstimatorDiagnostics:
-    """Error-tracking quantities for one estimator state.
-
-    ``upsilon`` and ``gamma`` are the squared/unsquared error-bounding
-    sequences of the backend; ``mse_exact`` is the exact squared error
-    ||g_emitted - grad H(x)||^2 of an emitted estimate.
-    """
-
-    upsilon: float
-    gamma: float
-    mse_exact: float
 
 
 class VarianceConstants(NamedTuple):
@@ -126,12 +118,9 @@ class GradientEstimator:
     def estimate(self, x):
         raise NotImplementedError
 
-    def _scatter(self, diffs):
-        """(sum_i ||d_i||^2 / (b n), sum_i ||d_i|| / sqrt(b n)) over rows d_i.
-
-        ``diffs`` is a temporary owned by the caller; it is squared in place.
-        """
-        sq = np.add.reduce(np.multiply(diffs, diffs, out=diffs), axis=1)
+    def _scatter(self, sq):
+        """(sum_i sq_i / (b n), sum_i sqrt(sq_i) / sqrt(b n)) over the squared
+        norms sq_i of n differences."""
         b = self.spec.batch_size
         return (
             float(np.add.reduce(sq)) / (b * self.n),
@@ -141,12 +130,6 @@ class GradientEstimator:
     def upsilon_gamma(self, x):
         """Backend error-bounding pair (Upsilon, Gamma) at the current state."""
         raise NotImplementedError
-
-    def diagnostics(self, x, g_emitted):
-        """Full diagnostics record; costs O(n * dim)."""
-        upsilon, gamma = self.upsilon_gamma(x)
-        err = np.asarray(g_emitted, dtype=float) - self.loss.full_gradient(x)
-        return EstimatorDiagnostics(upsilon, gamma, float(err @ err))
 
 
 class FullEstimator(GradientEstimator):
@@ -166,82 +149,116 @@ class SgdEstimator(GradientEstimator):
 
     def estimate(self, x):
         idx = self._draw_batch(self._stream(self.t))
-        grads = self.loss.component_gradients(x, idx)
-        g = np.add.reduce(grads, axis=0) / len(idx)
+        rows, c = self.loss.component_coefficients(x, idx)
         self.t += 1
         self.evals += len(idx)
-        return g
+        return rows.column_mean(c)
 
     def upsilon_gamma(self, x):
         # No certified sequence exists; report the per-sample scatter around
         # the full gradient in the same normalization the certified
-        # backends use.
+        # backends use, from the n x d table: ||c_i a_i - g||^2 has no
+        # short form free of cancellation.
         diffs = self.loss.component_gradients(x)
         diffs -= self.loss.full_gradient(x)
-        return self._scatter(diffs)
+        return self._scatter(np.add.reduce(np.multiply(diffs, diffs, out=diffs), axis=1))
 
 
 class SagaEstimator(GradientEstimator):
-    """Gradient-table estimator.
+    """Gradient-memory estimator over n stored coefficients.
 
-    ``phi_grads`` stores one gradient vector per component, initialized at
-    the start point; ``phi_mean`` tracks the table average incrementally
-    and is re-synced from the table every n calls to bound rounding drift.
+    Component i's memory is alpha_i a_i, its gradient where it was last
+    drawn (the start point at first): O(n) memory. ``phi_mean`` tracks the
+    memory's mean incrementally and is re-synced every n calls to bound
+    rounding drift. ``phi_grads`` reads the memory as a read-only n x d
+    array; assigning a table to it switches to that explicit table.
     """
 
     def __init__(self, spec, loss, x0):
         super().__init__(spec, loss, x0)
-        self.phi_grads = loss.component_gradients(x0)
-        self.phi_mean = np.add.reduce(self.phi_grads, axis=0) / self.n
+        self._rows, self.alpha = loss.component_coefficients(x0)
+        self._table = None
+        self.phi_mean = self._mean()
         self.evals += self.n
 
+    @property
+    def phi_grads(self):
+        if self._table is not None:
+            return self._table
+        table = self._rows.scaled(self.alpha)
+        table.flags.writeable = False
+        return table
+
+    @phi_grads.setter
+    def phi_grads(self, table):
+        self._table, self.alpha = np.array(table, dtype=float), None
+
+    def _mean(self):
+        if self._table is None:
+            return self._rows.column_mean(self.alpha)
+        return np.add.reduce(self._table, axis=0) / self.n
+
+    def _diff_sum(self, rows, c, sel):
+        """sum_k (c_k row k - the memory of component sel[k])."""
+        if self._table is None:
+            return rows.diff_sum(c, self.alpha[sel])
+        return np.add.reduce(rows.scaled(c) - self._table[sel], axis=0)
+
     def _combine(self, x, idx):
-        """Estimate for an explicit batch, without touching the table."""
-        grads = self.loss.component_gradients(x, idx)
-        g = np.add.reduce(grads - self.phi_grads[idx], axis=0) / len(idx) + self.phi_mean
-        return g, grads
+        """Estimate for an explicit batch, without touching the memory, and
+        the batch's rows and coefficients at x."""
+        rows, c = self.loss.component_coefficients(x, idx)
+        return self._diff_sum(rows, c, idx) / len(idx) + self.phi_mean, (rows, c)
 
     def estimate(self, x):
         idx = self._draw_batch(self._stream(self.t))
-        g, grads = self._combine(x, idx)
+        g, (rows, c) = self._combine(x, idx)
         uniq, first = np.unique(idx, return_index=True)
-        fresh = grads[first]
-        delta = fresh - self.phi_grads[uniq]
-        self.phi_grads[uniq] = fresh
-        self.phi_mean = self.phi_mean + np.add.reduce(delta, axis=0) / self.n
+        rows, c = rows.take(first), c[first]
+        self.phi_mean = self.phi_mean + self._diff_sum(rows, c, uniq) / self.n
+        if self._table is None:
+            self.alpha[uniq] = c
+        else:
+            self._table[uniq] = rows.scaled(c)
         self.t += 1
         self.evals += len(idx)
         if self.t % self.n == 0:
-            self.phi_mean = np.add.reduce(self.phi_grads, axis=0) / self.n
+            self.phi_mean = self._mean()
         return g
 
     def upsilon_gamma(self, x):
-        diffs = self.loss.component_gradients(x)
-        diffs -= self.phi_grads
-        return self._scatter(diffs)
+        if self._table is not None:
+            diffs = self.loss.component_gradients(x) - self._table
+            return self._scatter(np.add.reduce(diffs * diffs, axis=1))
+        # ||c_i a_i - alpha_i a_i||^2 = (c_i - alpha_i)^2 ||a_i||^2, O(n) after
+        # the all-rows pass, which the solver's next score reuses
+        dc = self.loss.component_coefficients(x)[1] - self.alpha
+        return self._scatter(dc * dc * self._rows.sq_norms)
 
 
 class SvrgEstimator(GradientEstimator):
-    """Anchored estimator re-anchoring every ``epoch_len`` calls."""
+    """Anchored estimator re-anchoring every ``epoch_len`` calls; it keeps
+    the n coefficients at the anchor, so a batch is dotted at x alone."""
 
     def __init__(self, spec, loss, x0):
         super().__init__(spec, loss, x0)
         self.epoch_len = spec.epoch_len or math.ceil(self.n / spec.batch_size)
-        self.anchor_x = np.array(x0, dtype=float)
-        self.anchor_full_grad = loss.full_gradient(self.anchor_x)
-        self.steps_since_anchor = 0
+        self._anchor(x0)
         self.evals += self.n
 
+    def _anchor(self, x):
+        self.anchor_x = np.array(x, dtype=float)
+        self.anchor_full_grad = self.loss.full_gradient(self.anchor_x)
+        _, self.anchor_coef = self.loss.component_coefficients(self.anchor_x)
+        self.steps_since_anchor = 0
+
     def _combine(self, x, idx):
-        gx = self.loss.component_gradients(x, idx)
-        ga = self.loss.component_gradients(self.anchor_x, idx)
-        return np.add.reduce(gx - ga, axis=0) / len(idx) + self.anchor_full_grad
+        rows, c = self.loss.component_coefficients(x, idx)
+        return rows.diff_sum(c, self.anchor_coef[idx]) / len(idx) + self.anchor_full_grad
 
     def estimate(self, x):
         if self.steps_since_anchor >= self.epoch_len:
-            self.anchor_x = np.array(x, dtype=float)
-            self.anchor_full_grad = self.loss.full_gradient(self.anchor_x)
-            self.steps_since_anchor = 0
+            self._anchor(x)
             self.evals += self.n
         idx = self._draw_batch(self._stream(self.t))
         g = self._combine(x, idx)
@@ -251,13 +268,11 @@ class SvrgEstimator(GradientEstimator):
         return g
 
     def upsilon_gamma(self, x):
-        # Uncertified analogue of the gradient-table formula with every
-        # memory slot sitting at the anchor. The anchor goes first, so the
-        # loss's memo ends at x, the point the solver scores next.
-        at_anchor = self.loss.component_gradients(self.anchor_x)
-        diffs = self.loss.component_gradients(x)
-        diffs -= at_anchor
-        return self._scatter(diffs)
+        # Uncertified analogue of SAGA's formula with every memory slot at
+        # the anchor.
+        rows, c = self.loss.component_coefficients(x)
+        dc = c - self.anchor_coef
+        return self._scatter(dc * dc * rows.sq_norms)
 
 
 class SarahEstimator(GradientEstimator):
@@ -276,9 +291,9 @@ class SarahEstimator(GradientEstimator):
         self.evals += self.n
 
     def _recursion(self, x, idx):
-        gx = self.loss.component_gradients(x, idx)
-        gp = self.loss.component_gradients(self.prev_x, idx)
-        return np.add.reduce(gx - gp, axis=0) / len(idx) + self.prev_estimate
+        rows, cx = self.loss.component_coefficients(x, idx)
+        cp = self.loss.component_coefficients(self.prev_x, idx)[1]
+        return rows.diff_sum(cx, cp) / len(idx) + self.prev_estimate
 
     def estimate(self, x):
         x = np.asarray(x, dtype=float)

@@ -24,7 +24,8 @@ estimators, the solver and the diagnostics never see which.
 
 All evaluations run the kernels ``_link``, ``_values`` and
 ``_coefficients`` (the c_i), keyed by kind; a component runs them on a
-one-row dense block. Both storages keep the two bit contracts. Row dots
+one-row dense block; ``component_coefficients`` hands the c_i out with
+the gathered rows. Both storages keep the two bit contracts. Row dots
 are row-consistent, so single-component and block evaluations are
 bit-identical. ``full_gradient`` is the exact mean of the component
 gradients, the axis-0 reduce of their stack, without an n x d table.
@@ -135,8 +136,13 @@ class _DenseRows:
     def column_mean(self, coef):
         return _column_mean(coef, self.rows)
 
-    def max_sq_norm(self):
-        return max(float(r @ r) for r in self.rows)  # one BLAS dot per row
+    def diff_sum(self, ca, cb):
+        """sum_i (ca_i row i - cb_i row i), summed as the difference of the tables."""
+        return np.add.reduce(ca[:, None] * self.rows - cb[:, None] * self.rows, axis=0)
+
+    @functools.cached_property
+    def sq_norms(self):
+        return np.array([r @ r for r in self.rows])  # one BLAS dot per row
 
     def toarray(self):
         return self.rows
@@ -195,8 +201,15 @@ class _CsrRows:
             return np.add.reduce(self.scaled(coef), axis=0) / n
         return np.bincount(self.indices, coef[self.row_ids] * self.data, d) / n
 
-    def max_sq_norm(self):
-        return float(np.bincount(self.row_ids, self.data * self.data, self.shape[0]).max())
+    def diff_sum(self, ca, cb):
+        if self.shape[1] == 1:
+            return np.add.reduce(self.scaled(ca) - self.scaled(cb), axis=0)
+        ra, rb = ca[self.row_ids], cb[self.row_ids]
+        return np.bincount(self.indices, ra * self.data - rb * self.data, self.shape[1])
+
+    @functools.cached_property
+    def sq_norms(self):
+        return np.bincount(self.row_ids, self.data * self.data, self.shape[0])
 
     def toarray(self):
         dense = np.zeros(self.shape)
@@ -376,12 +389,18 @@ class FiniteSumLoss:
         # all the sigmoid values are the memo's own array
         return values.copy() if idx is None and self._kind == "sigmoid" else values
 
-    def component_gradients(self, x, idx=None):
-        """Gradients of the selected components at x, stacked row-wise."""
+    def component_coefficients(self, x, idx=None):
+        """The selected rows, gathered as one row store, and their gradient
+        coefficients c_i at x, a new array: gradient i is c_i times row i."""
         x = self._check_x(x)
         idx = self._check_idx(idx)
         rows, targets, terms = self._block(x, idx)
-        return rows.scaled(_coefficients(self._kind, terms, targets))
+        return rows, _coefficients(self._kind, terms, targets)
+
+    def component_gradients(self, x, idx=None):
+        """Gradients of the selected components at x, stacked row-wise."""
+        rows, coef = self.component_coefficients(x, idx)
+        return rows.scaled(coef)
 
     def component_value(self, i, x):
         return float(self.component_values(x, np.array([i]))[0])
@@ -419,5 +438,5 @@ class FiniteSumLoss:
         """
         if self._lipschitz is None:
             scale = _COMPONENTS[self._kind].curvature
-            self._lipschitz = scale * self._rows.max_sq_norm()
+            self._lipschitz = scale * float(self._rows.sq_norms.max())
         return LipschitzBound(self._lipschitz)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 
+from sadmm.rng import DOMAIN_BATCH, substream
+
 
 def central_diff_gradient(f, x, step=1e-6):
     """Central finite differences of a scalar function."""
@@ -157,3 +159,60 @@ def make_groups_onehot_dataset(path, n=4062, n_groups=22, d=112, flip=0.12, seed
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     return path
+
+
+def table_estimates(kind, loss, seed, batch_size, x0, xs, epoch_len=None, restart_p=None):
+    """The emitted estimates of a stochastic estimator, by the gradient-table
+    formulas, with the n x d and b x d tables built from
+    ``loss.component_gradients``.
+
+    Replays the estimator's draws from ``substream(seed, DOMAIN_BATCH, t)``
+    for the calls at the points xs, started at x0. Returns the list of
+    estimates and, for saga, the final gradient table.
+    """
+    n, b = loss.n, batch_size
+
+    def full(x):
+        return np.add.reduce(loss.component_gradients(x), axis=0) / n
+
+    def batch_mean(x, y, idx):
+        diffs = loss.component_gradients(x, idx) - loss.component_gradients(y, idx)
+        return np.add.reduce(diffs, axis=0) / b
+
+    out, table = [], None
+    if kind == "saga":
+        table = loss.component_gradients(x0)
+        mean = np.add.reduce(table, axis=0) / n
+    # svrg: the anchor and its full gradient; sarah: the previous point
+    # and estimate
+    anchor, ref, since = x0, full(x0), 0
+    epoch_len = epoch_len or math.ceil(n / b)
+    for t, x in enumerate(xs):
+        rng = substream(seed, DOMAIN_BATCH, t)
+        if kind == "sgd":
+            g = np.add.reduce(loss.component_gradients(x, rng.integers(0, n, size=b)), axis=0) / b
+        elif kind == "saga":
+            idx = rng.integers(0, n, size=b)
+            grads = loss.component_gradients(x, idx)
+            g = np.add.reduce(grads - table[idx], axis=0) / b + mean
+            uniq, first = np.unique(idx, return_index=True)
+            delta = grads[first] - table[uniq]
+            table[uniq] = grads[first]
+            mean = mean + np.add.reduce(delta, axis=0) / n
+            if (t + 1) % n == 0:
+                mean = np.add.reduce(table, axis=0) / n
+        elif kind == "svrg":
+            if since >= epoch_len:
+                anchor, ref, since = x, full(x), 0
+            g = batch_mean(x, anchor, rng.integers(0, n, size=b)) + ref
+            since += 1
+        elif t == 0:  # sarah emits the start point's gradient first
+            g = ref
+        elif rng.random() < 1.0 / restart_p:
+            g = full(x)
+        else:
+            g = batch_mean(x, anchor, rng.integers(0, n, size=b)) + ref
+        if kind == "sarah":
+            anchor, ref = x, g
+        out.append(g)
+    return out, table

@@ -1,8 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import table_estimates
 from sadmm import (
     EstimatorSpec,
     FiniteSumLoss,
@@ -67,22 +72,6 @@ def test_full_estimator_stateless_and_exact():
     est = init_estimator(EstimatorSpec("full"), loss, np.zeros(loss.dim))
     x = rng.standard_normal(loss.dim)
     assert np.array_equal(est.estimate(x), loss.full_gradient(x))
-    diag = est.diagnostics(x, loss.full_gradient(x))
-    assert diag.upsilon == 0.0 and diag.gamma == 0.0 and diag.mse_exact == 0.0
-
-
-def test_full_estimator_diagnostics_measure_the_emitted_error():
-    # mse_exact is ||g_emitted - grad H(x)||^2 for every backend, the exact
-    # one included: it measures the vector handed in, not the backend
-    rng = np.random.default_rng(4)
-    loss = quad_loss(rng)
-    est = init_estimator(EstimatorSpec("full"), loss, np.zeros(loss.dim))
-    x = rng.standard_normal(loss.dim)
-    e = np.zeros(loss.dim)
-    e[[0, 2]] = [0.5, -2.0]
-    diag = est.diagnostics(x, loss.full_gradient(x) + e)
-    assert diag.upsilon == 0.0 and diag.gamma == 0.0
-    assert diag.mse_exact == pytest.approx(4.25, rel=1e-12)
 
 
 @pytest.mark.parametrize("b", [1, 3, 12])
@@ -286,11 +275,6 @@ def test_saga_diagnostics_examples_and_oracle():
     assert upsilon == pytest.approx(upsilon_oracle, rel=1e-10)
     assert gamma == pytest.approx(gamma_oracle, rel=1e-10)
 
-    g = est.estimate(x_query)
-    diag = est.diagnostics(x_query, g)
-    err = g - loss.full_gradient(x_query)
-    assert diag.mse_exact == pytest.approx(float(err @ err), rel=1e-12, abs=1e-15)
-
 
 def test_theoretical_constants_examples():
     saga = theoretical_constants(
@@ -370,8 +354,11 @@ def test_identical_seeds_give_identical_streams():
 
 @pytest.mark.parametrize("kind", ["sgd", "saga", "svrg"])
 def test_upsilon_gamma_equals_out_of_place_scatter(kind):
-    # the scatter subtracts and squares in place; the figures must be the
-    # out-of-place formula's, bit for bit, and the table must stay as it was
+    # sgd scatters the table rows around the full gradient in place; the
+    # figures must be the out-of-place formula's, bit for bit. saga and svrg
+    # store coefficients m_i (at the last visit, at the anchor), so theirs
+    # are the sums of (c_i(x) - m_i)^2 ||a_i||^2, and the table formula's to
+    # rounding. The memory must stay as it was.
     rng = np.random.default_rng(16)
     loss = quad_loss(rng, n=9, d=4)
     est = init_estimator(EstimatorSpec(kind, batch_size=2, seed=5), loss, rng.standard_normal(4))
@@ -379,18 +366,114 @@ def test_upsilon_gamma_equals_out_of_place_scatter(kind):
         est.estimate(rng.standard_normal(4))
     x = rng.standard_normal(4)
     fresh = FiniteSumLoss(loss.components)
+
+    def scatter(sq):
+        return (
+            float(np.add.reduce(sq)) / (2 * 9),
+            float(np.add.reduce(np.sqrt(sq))) / math.sqrt(2 * 9),
+        )
+
     if kind == "sgd":
-        other = fresh.full_gradient(x)
-    elif kind == "saga":
-        other = est.phi_grads.copy()
-    else:
-        other = fresh.component_gradients(est.anchor_x)
-    diffs = fresh.component_gradients(x) - other
-    sq = np.add.reduce(diffs * diffs, axis=1)
-    expected = (
-        float(np.add.reduce(sq)) / (2 * 9),
-        float(np.add.reduce(np.sqrt(sq))) / math.sqrt(2 * 9),
-    )
-    assert est.upsilon_gamma(x) == expected
+        diffs = fresh.component_gradients(x) - fresh.full_gradient(x)
+        assert est.upsilon_gamma(x) == scatter(np.add.reduce(diffs * diffs, axis=1))
+        return
     if kind == "saga":
-        assert np.array_equal(est.phi_grads, other)
+        memory, table = est.alpha.copy(), est.phi_grads.copy()
+    else:
+        memory = fresh.component_coefficients(est.anchor_x)[1]
+        table = fresh.component_gradients(est.anchor_x)
+    dc = fresh.component_coefficients(x)[1] - memory
+    sq_norms = np.array([c.r @ c.r for c in loss.components])
+    got = est.upsilon_gamma(x)
+    assert got == scatter(dc * dc * sq_norms)
+    diffs = fresh.component_gradients(x) - table
+    by_table = scatter(np.add.reduce(diffs * diffs, axis=1))
+    assert got == pytest.approx(by_table, rel=1e-12)
+    if kind == "saga":
+        assert est.alpha.tobytes() == memory.tobytes()
+        assert np.array_equal(est.phi_grads, table)
+        est.phi_grads = table  # an explicit table takes the table formula
+        assert est.upsilon_gamma(x) == by_table
+        assert np.array_equal(est.phi_grads, table)
+
+
+@st.composite
+def _estimator_runs(draw):
+    """A loss of either kind on dense or CSR rows, d = 1 or d >= 2, an
+    estimator spec and 2n query points.
+
+    Hypothesis picks the shapes, storage, density, scale and spec; the
+    values come from a drawn seed, so that sums round as real data does.
+    Batches drawn with replacement from n <= 6 rows repeat indices often.
+    """
+    n, d = draw(st.integers(1, 6)), draw(st.sampled_from([1, 2, 3, 5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.4, 1.0]))
+    rows = 10.0 * rng.standard_normal((n, d)) * (rng.random((n, d)) < density)
+    kind = draw(st.sampled_from(["least_squares", "sigmoid"]))
+    if kind == "sigmoid":
+        targets = rng.choice([-1.0, 1.0], size=n)
+    else:
+        targets = 10.0 * rng.standard_normal(n)
+    if draw(st.booleans()):
+        rows = sp.csr_matrix(rows)
+    spec = EstimatorSpec(
+        draw(st.sampled_from(["sgd", "saga", "svrg", "sarah"])),
+        batch_size=draw(st.integers(1, n)),
+        epoch_len=draw(st.sampled_from([None, 1, 2])),
+        restart_p=draw(st.sampled_from([2.0, 4.0])),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    scale = draw(st.sampled_from([0.1, 1.0, 30.0]))
+    xs = scale * rng.standard_normal((2 * n + 1, d))
+    return FiniteSumLoss.from_rows(kind, rows, targets), spec, xs
+
+
+@settings(max_examples=100, deadline=None)
+@given(_estimator_runs())
+def test_estimates_equal_the_table_formulas_bytes(example):
+    # the estimators work on coefficients and column sums; every estimate
+    # must still be the gradient-table formula's, byte for byte
+    loss, spec, xs = example
+    ests = [init_estimator(spec, loss, xs[0])]
+    if spec.kind == "saga":  # and one switched to an explicit table
+        ests.append(init_estimator(spec, loss, xs[0]))
+        ests[1].phi_grads = ests[1].phi_grads
+    want, table = table_estimates(spec.kind, loss, spec.seed, spec.batch_size, xs[0], xs[1:],
+                                  spec.epoch_len, spec.restart_p)
+    for est in ests:
+        for x, g in zip(xs[1:], want):
+            assert est.estimate(x).tobytes() == g.tobytes()
+        if spec.kind == "saga":  # 2n calls: the mean was re-synced at the last one
+            assert est.phi_grads.tobytes() == table.tobytes()
+            assert est.phi_mean.tobytes() == (np.add.reduce(table, axis=0) / loss.n).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["saga", "svrg", "sarah"])
+def test_variance_reduced_estimators_keep_no_gradient_table(kind):
+    # every component gradient is c_i a_i: the memory is n scalars, and no
+    # n x d table is built on set-up, per estimate or for the diagnostics
+    rng = np.random.default_rng(17)
+    n = d = 256
+    rows = sp.random(n, d, density=0.02, random_state=rng, data_rvs=rng.standard_normal)
+    loss = FiniteSumLoss.from_rows("least_squares", rows, rng.standard_normal(n))
+    spec = EstimatorSpec(kind, batch_size=8, epoch_len=2, restart_p=2.0, seed=3)
+    xs = rng.standard_normal((6, d))
+    tracemalloc.start()
+    try:
+        est = init_estimator(spec, loss, xs[0])
+        for x in xs[1:]:
+            est.estimate(x)
+        est.upsilon_gamma(xs[-1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * d * 8 / 4
+    assert not [k for k, v in vars(est).items() if isinstance(v, np.ndarray) and v.ndim == 2]
+    if kind == "saga":  # the memory reads as the gradients at each row's last visit
+        last = [xs[0]] * n
+        for t, x in enumerate(xs[1:]):
+            for i in substream(3, DOMAIN_BATCH, t).integers(0, n, size=8):
+                last[i] = x
+        want = np.stack([loss.component_gradients(last[i], [i])[0] for i in range(n)])
+        assert est.phi_grads.tobytes() == want.tobytes()
