@@ -12,7 +12,8 @@ coefficients, not gradient tables: SAGA stores n scalars, SVRG the n
 coefficients at its anchor, SGD and SARAH none. An estimate sums the
 gathered batch rows by column over their stored entries (``diff_sum``
 subtracts c_x[i] a_ij - c_y[i] a_ij, never (c_x[i] - c_y[i]) a_ij), so
-it has the bytes of the table formula.
+it has the bytes of the table formula. An estimate checks the caller's x,
+not its own draws and points, and gathers its batch once, SARAH's too.
 
 Each estimator owns a counter-based random stream keyed by
 (seed, iteration), so replaying a run with the same seed reproduces the
@@ -148,8 +149,9 @@ class SgdEstimator(GradientEstimator):
     """Plain mini-batch gradient; unbiased, no variance reduction."""
 
     def estimate(self, x):
+        x = self.loss._check_x(x)
         idx = self._draw_batch(self._stream(self.t))
-        rows, c = self.loss.component_coefficients(x, idx)
+        rows, c = self.loss._batch(idx, x)
         self.t += 1
         self.evals += len(idx)
         return rows.column_mean(c)
@@ -207,10 +209,11 @@ class SagaEstimator(GradientEstimator):
     def _combine(self, x, idx):
         """Estimate for an explicit batch, without touching the memory, and
         the batch's rows and coefficients at x."""
-        rows, c = self.loss.component_coefficients(x, idx)
+        rows, c = self.loss._batch(idx, x)
         return self._diff_sum(rows, c, idx) / len(idx) + self.phi_mean, (rows, c)
 
     def estimate(self, x):
+        x = self.loss._check_x(x)
         idx = self._draw_batch(self._stream(self.t))
         g, (rows, c) = self._combine(x, idx)
         uniq, first = np.unique(idx, return_index=True)
@@ -253,10 +256,11 @@ class SvrgEstimator(GradientEstimator):
         self.steps_since_anchor = 0
 
     def _combine(self, x, idx):
-        rows, c = self.loss.component_coefficients(x, idx)
+        rows, c = self.loss._batch(idx, x)
         return rows.diff_sum(c, self.anchor_coef[idx]) / len(idx) + self.anchor_full_grad
 
     def estimate(self, x):
+        x = self.loss._check_x(x)
         if self.steps_since_anchor >= self.epoch_len:
             self._anchor(x)
             self.evals += self.n
@@ -291,12 +295,11 @@ class SarahEstimator(GradientEstimator):
         self.evals += self.n
 
     def _recursion(self, x, idx):
-        rows, cx = self.loss.component_coefficients(x, idx)
-        cp = self.loss.component_coefficients(self.prev_x, idx)[1]
+        rows, cx, cp = self.loss._batch(idx, x, self.prev_x)
         return rows.diff_sum(cx, cp) / len(idx) + self.prev_estimate
 
     def estimate(self, x):
-        x = np.asarray(x, dtype=float)
+        x = self.loss._check_x(x)
         if self.t == 0:
             g = self.prev_estimate.copy()
         else:

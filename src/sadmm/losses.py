@@ -25,21 +25,24 @@ estimators, the solver and the diagnostics never see which.
 All evaluations run the kernels ``_link``, ``_values`` and
 ``_coefficients`` (the c_i), keyed by kind; a component runs them on a
 one-row dense block; ``component_coefficients`` hands the c_i out with
-the gathered rows. Both storages keep the two bit contracts. Row dots
-are row-consistent, so single-component and block evaluations are
-bit-identical. ``full_gradient`` is the exact mean of the component
-gradients, the axis-0 reduce of their stack, without an n x d table.
+the gathered rows, and the estimators its unchecked core ``_batch``,
+which gathers a batch once for the c_i at one or two points. Both storages
+keep the two bit contracts. Row dots are row-consistent, so
+single-component and block evaluations are bit-identical.
+``full_gradient`` is the exact mean of the component gradients, the
+axis-0 reduce of their stack, without an n x d table.
 The two storages of the same rows agree to the last bit only where the
 dense einsum happens to add a row as a sequential sum does.
 
 A row-store loss keeps a one-entry memo of the last point an all-rows
-pass saw: the link terms of every row there, and the full value and
-gradient once computed. The solver scores x_{t+1} with ``full_value`` and
-takes the next full gradient at that point, which then costs only the
-column sum. The memo is keyed by the bytes of x, so -0.0 and 0.0 differ,
-an array changed in place misses and a point with a NaN is never kept. A
-hit returns exactly what a fresh evaluation returns, bit for bit; it
-rests on the row store being read-only.
+pass saw: the link terms of every row there (for sigmoid rows e and the
+sign mask, see ``_link``), and the full value and gradient once computed.
+The solver scores x_{t+1} with ``full_value`` and takes the next full
+gradient at that point, which then costs only the column sum. The memo
+is keyed by the bytes of x, so -0.0 and 0.0 differ, an array changed in
+place misses and a point with a NaN is never kept. A hit returns exactly
+what a fresh evaluation returns, bit for bit; it rests on the row store
+being read-only.
 ``solver.run`` drops the memo when it returns or raises.
 """
 
@@ -71,33 +74,29 @@ def _row_dots(rows, x):
     return np.einsum("ij,j->i", rows, x)
 
 
-def _logistic_pair(s):
-    """(1 / (1 + exp(-s)), 1 / (1 + exp(s))) elementwise from one e = exp(-|s|);
-    each entry is 1 / (1 + e) or e / (1 + e), whichever cannot overflow."""
-    e = np.exp(-np.abs(s))
-    big = 1.0 / (1.0 + e)
-    small = e / (1.0 + e)
-    pos = s >= 0
-    return np.where(pos, big, small), np.where(pos, small, big)
-
-
 def _link(kind, s, targets):
-    """Per-row link terms from the row dots s: the logistic pair (p, q) of
-    the sigmoid margins, or the least-squares residuals as a 1-tuple."""
+    """Per-row link terms from the row dots s: the least-squares residuals
+    as a 1-tuple, or for the sigmoid margins m the values 1 / (1 + exp(m))
+    and e = exp(-|m|), the sign mask m >= 0 and 1 + e, from which a gradient
+    forms 1 / (1 + exp(-m)); each half is e / (1 + e) or 1 / (1 + e),
+    whichever cannot overflow."""
     if kind == "sigmoid":
-        return _logistic_pair(targets * s)
+        m = targets * s
+        e = np.exp(-np.abs(m))
+        pos, d = m >= 0, 1.0 + e
+        return np.where(pos, e, 1.0) / d, e, pos, d
     return (s - targets,)
 
 
 def _values(kind, terms):
-    return terms[1] if kind == "sigmoid" else terms[0] ** 2
+    return terms[0] if kind == "sigmoid" else terms[0] ** 2
 
 
 def _coefficients(kind, terms, targets):
     """Per-row gradient coefficients c_i from the link terms."""
     if kind == "sigmoid":
-        p, q = terms
-        return -targets * p * q
+        q, e, pos, d = terms
+        return -targets * (np.where(pos, 1.0, e) / d) * q
     return 2.0 * terms[0]
 
 
@@ -142,7 +141,8 @@ class _DenseRows:
 
     @functools.cached_property
     def sq_norms(self):
-        return np.array([r @ r for r in self.rows])  # one BLAS dot per row
+        # the per-row BLAS dots r @ r, made from C as one stacked matmul
+        return np.matmul(self.rows[:, None, :], self.rows[:, :, None])[:, 0, 0]
 
     def toarray(self):
         return self.rows
@@ -368,14 +368,19 @@ class FiniteSumLoss:
             memo = self._memo = (key, terms, None, None)
         return memo
 
-    def _block(self, x, idx):
-        """Rows, targets and link terms at x of the selected components."""
-        if idx is None:
-            return self._rows, self._targets, self._all_rows(x)[1]
-        rows, targets, memo = self._rows.take(idx), self._targets[idx], self._memo
+    def _terms(self, x, idx, rows, targets):
+        """Link terms at x of the rows idx, gathered as rows and targets."""
+        memo = self._memo
         if memo is not None and memo[0] == x.tobytes():
-            return rows, targets, tuple([t[idx] for t in memo[1]])
-        return rows, targets, _link(self._kind, rows.dots(x), targets)
+            return tuple([t[idx] for t in memo[1]])
+        return _link(self._kind, rows.dots(x), targets)
+
+    def _batch(self, idx, *points):
+        """The rows idx, gathered once, and their coefficients at each point
+        (x, or x and y), unchecked: idx in range, points float vectors."""
+        rows, targets = self._rows.take(idx), self._targets[idx]
+        return rows, *[_coefficients(self._kind, self._terms(p, idx, rows, targets), targets)
+                       for p in points]
 
     def drop_memo(self):
         """Release the memo; later results are unchanged."""
@@ -385,17 +390,20 @@ class FiniteSumLoss:
         """Values of the selected components at x, in the order of idx."""
         x = self._check_x(x)
         idx = self._check_idx(idx)
-        values = _values(self._kind, self._block(x, idx)[2])
-        # all the sigmoid values are the memo's own array
-        return values.copy() if idx is None and self._kind == "sigmoid" else values
+        if idx is not None:
+            rows = self._rows.take(idx)
+            return _values(self._kind, self._terms(x, idx, rows, self._targets[idx]))
+        values = _values(self._kind, self._all_rows(x)[1])  # sigmoid: the memo's own array
+        return values.copy() if self._kind == "sigmoid" else values
 
     def component_coefficients(self, x, idx=None):
         """The selected rows, gathered as one row store, and their gradient
         coefficients c_i at x, a new array: gradient i is c_i times row i."""
         x = self._check_x(x)
         idx = self._check_idx(idx)
-        rows, targets, terms = self._block(x, idx)
-        return rows, _coefficients(self._kind, terms, targets)
+        if idx is not None:
+            return self._batch(idx, x)
+        return self._rows, _coefficients(self._kind, self._all_rows(x)[1], self._targets)
 
     def component_gradients(self, x, idx=None):
         """Gradients of the selected components at x, stacked row-wise."""

@@ -307,6 +307,14 @@ def run(problem, config, x0=None, spectral=None):
         loss.drop_memo()
 
 
+def _non_finite(x, z, u):
+    """Which of x, z, u has a non-finite entry, or None: one sum of squares
+    (``np.vdot`` does not warn on overflow), then a scan if that overflows."""
+    if math.isfinite(np.vdot(x, x) + np.vdot(z, z) + np.vdot(u, u)):
+        return None
+    return next((k for k, v in zip("xzu", (x, z, u)) if not np.isfinite(v).all()), None)
+
+
 def _iterate(problem, config, x0, spectral):
     loss, op = problem.loss, problem.op
     estimator = init_estimator(config.estimator, loss, x0)
@@ -333,9 +341,9 @@ def _iterate(problem, config, x0, spectral):
         new_state, record = step(
             state, problem, config, estimator, diag_ctx if sampled else None
         )
-        for name, v in (("x", new_state.x), ("z", new_state.z), ("u", new_state.u)):
-            if not np.logical_and.reduce(np.isfinite(v)):
-                raise DivergenceError(new_state.t, name)
+        name = _non_finite(new_state.x, new_state.z, new_state.u)
+        if name:
+            raise DivergenceError(new_state.t, name)
         if not math.isfinite(record.objective):
             raise DivergenceError(new_state.t, "objective")
         trace.append(record)

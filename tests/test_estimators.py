@@ -15,6 +15,7 @@ from sadmm import (
     LipschitzBound,
     NoCertifiedConstantsError,
     ParameterError,
+    ShapeError,
     generate_synthetic_quadratic,
     init_estimator,
     theoretical_constants,
@@ -28,6 +29,21 @@ def quad_loss(rng, n=12, d=5):
         for _ in range(n)
     ]
     return FiniteSumLoss(comps)
+
+
+@pytest.mark.parametrize("kind", ["full", "sgd", "saga", "svrg", "sarah"])
+def test_estimate_rejects_a_point_of_the_wrong_shape(kind):
+    # the estimators skip re-checking their own draws and points, never
+    # the caller's; a list of the right length is a point
+    rng = np.random.default_rng(4)
+    loss = quad_loss(rng)
+    spec = EstimatorSpec(kind, batch_size=3, epoch_len=1, restart_p=1e9, seed=0)
+    est = init_estimator(spec, loss, np.zeros(loss.dim))
+    for _ in range(3):
+        for bad in (np.zeros(loss.dim + 1), np.zeros((1, loss.dim)), np.zeros(())):
+            with pytest.raises(ShapeError):
+                est.estimate(bad)
+        assert est.estimate(list(rng.standard_normal(loss.dim))).shape == (loss.dim,)
 
 
 def test_spec_validation():

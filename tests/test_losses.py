@@ -157,23 +157,33 @@ def _masked_logistic(s):
     return out
 
 
+def _assert_same_bytes(got, want):
+    # NaN where the oracle has NaN, whatever its sign bit; elsewhere the same bytes
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
 @pytest.mark.filterwarnings("ignore:invalid value")
 def test_single_exp_logistic_matches_masked_formula():
-    from sadmm.losses import _logistic_pair
+    # the link keeps e = exp(-|m|) and the sign mask of the margins m = t s;
+    # scoring forms 1 / (1 + exp(m)) and a gradient 1 / (1 + exp(-m)) too.
+    # With labels t = +1 and -1 both halves are values and enter the
+    # coefficients, all with the bytes of the masked formula
+    from sadmm.losses import _coefficients, _link, _values
 
     special = np.array(
         [0.0, -0.0, np.inf, -np.inf, np.nan, 745.0, -745.0, 800.0, -800.0, 1e-300]
     )
     rng = np.random.default_rng(7)
     swept = rng.standard_normal(5000) * np.repeat([1e-300, 1e-8, 1.0, 30.0, 700.0], 1000)
-    for s in (special, swept):
-        p, q = _logistic_pair(s)
-        np.testing.assert_array_equal(p, _masked_logistic(s))
-        np.testing.assert_array_equal(q, _masked_logistic(-s))
-    for v in special:
-        p, q = _logistic_pair(np.array([v]))
-        np.testing.assert_array_equal(p, _masked_logistic([v]))
-        np.testing.assert_array_equal(q, _masked_logistic([-v]))
+    for s in (special, swept, *special[:, None]):
+        for t in (1.0, -1.0):
+            targets = np.full(s.shape, t)
+            terms = _link("sigmoid", s, targets)
+            p, q = _masked_logistic(t * s), _masked_logistic(-t * s)
+            _assert_same_bytes(_values("sigmoid", terms), q)
+            _assert_same_bytes(_coefficients("sigmoid", terms, targets), -targets * p * q)
 
 
 def test_single_component_full_gradient():
@@ -626,3 +636,52 @@ def test_csr_memo_hit_equals_a_fresh_loss(example):
             fresh = getattr(FiniteSumLoss.from_rows(kind, rows, targets), name)(x, sel)
             assert getattr(warm, name)(x, sel).tobytes() == fresh.tobytes()
     assert warm.full_value(x) == FiniteSumLoss.from_rows(kind, rows, targets).full_value(x)
+
+
+@st.composite
+def _batch_examples(draw):
+    """A dense or CSR loss of either kind, two points, a batch with repeats
+    and the point, if any, an all-rows pass left in the memo."""
+    n, d = draw(st.integers(1, 12)), draw(st.sampled_from([1, 2, 5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dense = 3.0 * rng.standard_normal((n, d)) * (rng.random((n, d)) < 0.6)
+    kind = draw(st.sampled_from(["least_squares", "sigmoid"]))
+    targets = rng.choice([-1.0, 1.0], size=n) if kind == "sigmoid" else rng.standard_normal(n)
+    rows = draw(st.sampled_from([dense, sp.csr_matrix(dense)]))
+    x, y = draw(st.sampled_from([0.1, 1.0, 30.0])) * rng.standard_normal((2, d))
+    idx = np.array(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n)))
+    memo = draw(st.sampled_from(["none", "x", "y", "other"]))
+    return kind, rows, targets, x, y, idx, memo
+
+
+@settings(max_examples=100, deadline=None)
+@given(_batch_examples())
+def test_batch_entry_returns_the_component_coefficients_bytes(example):
+    # the estimators' unchecked one-gather entry, at one point and at two,
+    # hit or miss, must hand out what the public method does at each point
+    kind, rows, targets, x, y, idx, memo = example
+    fresh = FiniteSumLoss.from_rows(kind, rows, targets)
+    want = [fresh.component_coefficients(p, idx) for p in (x, y)]
+    loss = FiniteSumLoss.from_rows(kind, rows, targets)
+    if memo != "none":
+        loss.full_value({"x": x, "y": y, "other": x + y + 1.0}[memo])
+    one = loss._batch(idx, x)
+    two = loss._batch(idx, x, y)
+    assert len(one) == 2 and len(two) == 3
+    for got_rows in (one[0], two[0]):
+        assert got_rows.toarray().tobytes() == want[0][0].toarray().tobytes()
+    assert one[1].tobytes() == want[0][1].tobytes()
+    assert two[1].tobytes() == want[0][1].tobytes()
+    assert two[2].tobytes() == want[1][1].tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 40), st.sampled_from([1, 2, 3, 7, 33, 112, 257]),
+       st.integers(0, 2**32 - 1), st.sampled_from([1e-150, 1.0, 1e150]))
+def test_dense_squared_row_norms_equal_per_row_dots(n, d, seed, scale):
+    # lipschitz_bound scales the largest ||r||^2, which sets the step in
+    # every run: the stacked matmul must give each row's own r @ r bytes
+    from sadmm.losses import _DenseRows
+
+    rows = scale * np.random.default_rng(seed).standard_normal((n, d))
+    assert _DenseRows(rows).sq_norms.tobytes() == np.array([r @ r for r in rows]).tobytes()

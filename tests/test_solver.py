@@ -359,6 +359,28 @@ def test_run_names_the_non_finite_u():
     assert (excinfo.value.what, excinfo.value.iteration) == ("u", 1)
 
 
+@pytest.mark.parametrize("where", [0, 1, 2])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_divergence_check_names_the_non_finite_vector(where, bad):
+    from sadmm.solver import _non_finite
+
+    vectors = [np.ones(3), np.ones(5), np.ones(5)]
+    assert _non_finite(*vectors) is None
+    vectors[where][where + 1] = bad
+    assert _non_finite(*vectors) == "xzu"[where]
+
+
+@pytest.mark.filterwarnings("error")
+def test_divergence_check_passes_a_huge_finite_iterate():
+    # the squares of 1e200 overflow the sum; the scan then finds every
+    # entry finite, and nothing warns
+    from sadmm.solver import _non_finite
+
+    huge = np.full(4, 1e200)
+    assert _non_finite(huge, -huge, huge[:1]) is None
+    assert _non_finite(huge, -huge, np.array([np.inf])) == "u"
+
+
 def test_run_is_deterministic_given_seed():
     problem = small_problem(seed=11)
     spec = EstimatorSpec("sarah", batch_size=3, restart_p=4.0, seed=21)
