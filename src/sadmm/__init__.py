@@ -13,7 +13,6 @@ from .diagnostics import (
     augmented_lagrangian,
     stability_constants,
     stability_psi,
-    subgradient_p_constant,
 )
 from .estimators import (
     EstimatorSpec,
@@ -43,7 +42,6 @@ from .linops import (
     SpectralEstimates,
     VerticalStack,
     estimate_spectral,
-    load_dense_matrix,
 )
 from .losses import (
     SIGMOID_CURVATURE,
@@ -61,7 +59,6 @@ from .problems import (
     build_toy_reconstruction,
     generate_synthetic_quadratic,
     rectangle_phantom,
-    write_pgm,
 )
 from .regularizers import L0, L1, Regularizer, WeightedL0
 from .solver import (
@@ -74,10 +71,7 @@ from .solver import (
     descent_coefficient,
     run,
     step,
-    u_update,
     validate_params,
-    x_update,
-    z_update,
 )
 
 __version__ = "0.1.0"

@@ -2,12 +2,10 @@
 
 This module evaluates the augmented Lagrangian, the stability function
 used to certify descent in expectation, the operator B = tau*Id -
-beta*A^T A appearing in its lagged coupling term, and the constant that
-bounds the subgradient norm in terms of iterate differences. Everything
-here is a pure computation over state snapshots.
+beta*A^T A appearing in its lagged coupling term. Everything here is a
+pure computation over state snapshots.
 """
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -22,7 +20,6 @@ __all__ = [
     "augmented_lagrangian",
     "apply_B",
     "stability_psi",
-    "subgradient_p_constant",
 ]
 
 
@@ -128,26 +125,3 @@ def _psi(lb, op, state, consts, upsilon, grad_err_sq_prev, beta, sigma, rho):
         + (16.0 / denom) * grad_err_sq_prev
         + consts.c3 * float(dx @ dx)
     )
-
-
-def subgradient_p_constant(op_norm, L, tau, beta, sigma, c0, c1, v2):
-    """Constant bounding the subgradient norm by iterate differences.
-
-    The bound is the maximum of two expressions, one collecting the
-    coefficients of ||x_t - x_{t-1}|| and one those of ||u_t - u_{t-1}||.
-    """
-    first = (
-        L
-        + 4.0 * c1
-        + 4.0 * sigma * tau * c0 * (sigma * tau + op_norm)
-        + tau
-        + beta * op_norm
-        + v2
-    )
-    second = (
-        1.0
-        + 1.0 / (sigma * beta)
-        + 4.0 * c0 * op_norm * (sigma * tau + op_norm)
-        + (2.0 / sigma - 1.0) * op_norm
-    )
-    return max(first, second)

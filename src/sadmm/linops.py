@@ -14,7 +14,7 @@ materialized.
 
 import numpy as np
 
-from .exceptions import ParseError, ShapeError, SpectralEstimationError
+from .exceptions import ShapeError, SpectralEstimationError
 from .rng import DOMAIN_SPECTRAL, substream
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "VerticalStack",
     "SpectralEstimates",
     "estimate_spectral",
-    "load_dense_matrix",
 ]
 
 
@@ -53,16 +52,6 @@ class LinearOperator:
     def adjoint(self, y):
         raise NotImplementedError
 
-    def to_dense(self):
-        """Materialize the operator as an (out_dim, in_dim) array."""
-        cols = []
-        e = np.zeros(self.in_dim)
-        for j in range(self.in_dim):
-            e[j] = 1.0
-            cols.append(self.apply(e))
-            e[j] = 0.0
-        return np.column_stack(cols) if cols else np.zeros((self.out_dim, 0))
-
 
 class DenseMatrix(LinearOperator):
     """Operator backed by an explicit (m, d) row-major array."""
@@ -82,9 +71,6 @@ class DenseMatrix(LinearOperator):
         y = _check_len(y, self.out_dim, "y")
         return self.matrix.T @ y
 
-    def to_dense(self):
-        return self.matrix.copy()
-
 
 class Identity(LinearOperator):
     """The identity on R^dim."""
@@ -99,9 +85,6 @@ class Identity(LinearOperator):
 
     def adjoint(self, y):
         return _check_len(y, self.out_dim, "y").copy()
-
-    def to_dense(self):
-        return np.eye(self.in_dim)
 
 
 class FiniteDifference1D(LinearOperator):
@@ -192,9 +175,6 @@ class VerticalStack(LinearOperator):
             out += op.adjoint(y[offset : offset + op.out_dim])
             offset += op.out_dim
         return out
-
-    def to_dense(self):
-        return np.vstack([op.to_dense() for op in self.operators])
 
 
 class SpectralEstimates:
@@ -340,36 +320,3 @@ def estimate_spectral(op, tol=1e-10, max_iter=10000, seed=0):
     if lam_min < _ZERO_REL_TOL * op_norm_sq:
         lam_min = 0.0
     return SpectralEstimates(op_norm_sq, lam_min)
-
-
-def load_dense_matrix(path):
-    """Load a DenseMatrix from the plain-text format.
-
-    First line: ``m d``; then m rows of d space-separated decimals.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ParseError("empty matrix file", line=1)
-    header = lines[0].split()
-    if len(header) != 2:
-        raise ParseError("expected header 'm d'", line=1)
-    try:
-        m, d = int(header[0]), int(header[1])
-    except ValueError as exc:
-        raise ParseError(f"non-integer header: {exc}", line=1) from None
-    if m < 1 or d < 1:
-        raise ParseError("matrix dimensions must be positive", line=1)
-    if len(lines) - 1 < m:
-        raise ParseError(f"expected {m} rows, found {len(lines) - 1}", line=len(lines))
-    rows = []
-    for k in range(m):
-        lineno = k + 2
-        parts = lines[k + 1].split()
-        if len(parts) != d:
-            raise ParseError(f"expected {d} values, got {len(parts)}", line=lineno)
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError as exc:
-            raise ParseError(f"non-numeric value: {exc}", line=lineno) from None
-    return DenseMatrix(np.array(rows))

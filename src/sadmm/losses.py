@@ -362,7 +362,7 @@ class FiniteSumLoss:
         """The memo at x; on a miss, one all-rows pass replaces it."""
         key, memo = x.tobytes(), self._memo
         if memo is None or memo[0] != key:
-            if math.isnan(x.dot(x)):  # x has a NaN: squares never sum to one
+            if math.isnan(np.vdot(x, x)):  # x has a NaN: squares never sum to one
                 key = None  # None never matches
             terms = _link(self._kind, self._rows.dots(x), self._targets)
             memo = self._memo = (key, terms, None, None)

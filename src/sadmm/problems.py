@@ -29,7 +29,6 @@ __all__ = [
     "build_toy_reconstruction",
     "generate_synthetic_quadratic",
     "rectangle_phantom",
-    "write_pgm",
 ]
 
 
@@ -272,21 +271,3 @@ def generate_synthetic_quadratic(n, d, seed=0, conditioning=1.0):
         name="synthetic_quadratic",
         metadata=metadata,
     )
-
-
-def write_pgm(path, image, maxval=255):
-    """Export a 2-D image as ASCII PGM (P2), scaled to [0, maxval]."""
-    image = np.asarray(image, dtype=float)
-    if image.ndim != 2:
-        raise ShapeError("image must be 2-D")
-    lo, hi = float(image.min()), float(image.max())
-    if hi > lo:
-        scaled = np.rint((image - lo) / (hi - lo) * maxval).astype(int)
-    else:
-        scaled = np.zeros_like(image, dtype=int)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("P2\n")
-        fh.write(f"{image.shape[1]} {image.shape[0]}\n")
-        fh.write(f"{maxval}\n")
-        for row in scaled:
-            fh.write(" ".join(str(v) for v in row) + "\n")

@@ -50,9 +50,6 @@ __all__ = [
     "IterationRecord",
     "RunResult",
     "ParamReport",
-    "z_update",
-    "x_update",
-    "u_update",
     "step",
     "run",
     "validate_params",
@@ -132,63 +129,6 @@ class RunResult:
     state: SolverState
 
 
-def z_update(x, u, op, reg, beta):
-    """Prox step: minimize F(z) + <u, Ax - z> + (beta/2)||Ax - z||^2 over z.
-
-    Completing the square turns this into the prox of F at A x + u / beta
-    with weight beta, which is solved exactly.
-    """
-    if beta <= 0:
-        raise ParameterError(f"beta must be positive, got {beta}")
-    u = np.asarray(u, dtype=float)
-    if u.shape != (op.out_dim,):
-        raise ShapeError(f"u must have length {op.out_dim}, got shape {u.shape}")
-    return _z_step(op.apply(x), u, reg, beta)
-
-
-def x_update(x, z_next, u, g_tilde, op, tau, beta):
-    """Linearized primal step; one apply and one adjoint."""
-    if tau <= 0:
-        raise ParameterError(f"tau must be positive, got {tau}")
-    x = np.asarray(x, dtype=float)
-    z_next = np.asarray(z_next, dtype=float)
-    u = np.asarray(u, dtype=float)
-    g_tilde = np.asarray(g_tilde, dtype=float)
-    if g_tilde.shape != x.shape:
-        raise ShapeError("gradient estimate and x must have the same shape")
-    if u.shape != (op.out_dim,) or z_next.shape != (op.out_dim,):
-        raise ShapeError(f"u and z must have length {op.out_dim}")
-    return _x_step(x, op.apply(x), z_next, u, g_tilde, op, tau, beta)
-
-
-def u_update(u, x_next, z_next, op, sigma, beta):
-    """Relaxed dual ascent on the residual A x_{t+1} - z_{t+1}."""
-    u = np.asarray(u, dtype=float)
-    z_next = np.asarray(z_next, dtype=float)
-    if u.shape != (op.out_dim,) or z_next.shape != (op.out_dim,):
-        raise ShapeError(f"u and z must have length {op.out_dim}")
-    return _u_step(u, op.apply(x_next) - z_next, sigma, beta)
-
-
-# The arithmetic of the three updates, given A x and the residual
-# A x_{t+1} - z_{t+1}. ``step`` calls these directly: ``run`` has checked
-# the shapes once, and A x_{t+1} serves the dual step, the residual and the
-# next iteration's z and x steps.
-
-
-def _z_step(ax, u, reg, beta):
-    return reg.prox(ax + u / beta, beta)
-
-
-def _x_step(x, ax, z_next, u, g_tilde, op, tau, beta):
-    direction = g_tilde + op.adjoint(u + beta * (ax - z_next))
-    return x - direction / tau
-
-
-def _u_step(u, resid, sigma, beta):
-    return u + sigma * beta * resid
-
-
 @dataclass
 class _DiagContext:
     consts: object  # StabilityConstants or None when psi is undefined
@@ -198,21 +138,22 @@ class _DiagContext:
 def step(state, problem, config, estimator, diag_ctx=None):
     """Advance one iteration; returns (new_state, record).
 
-    The state holds float arrays of the shapes ``run`` builds; they are not
-    checked again here. A is applied once, to x_{t+1}. The estimator is
-    updated in place. When ``diag_ctx`` is given the record carries a
-    DiagnosticsRecord computed for the new state (cost O(n * dim)).
+    Runs the z, x and u updates of the module docstring. The state holds
+    float arrays of the shapes ``run`` builds; they are not checked again
+    here. A is applied once, to x_{t+1}. The estimator is updated in place.
+    When ``diag_ctx`` is given the record carries a DiagnosticsRecord
+    computed for the new state (cost O(n * dim)).
     """
     op, reg, loss = problem.op, problem.reg, problem.loss
     beta, tau, sigma = config.beta, config.tau, config.sigma
     t0 = time.perf_counter()
     ax = op.apply(state.x) if state.ax is None else state.ax
-    z_next = _z_step(ax, state.u, reg, beta)
+    z_next = reg.prox(ax + state.u / beta, beta)
     g = estimator.estimate(state.x)
-    x_next = _x_step(state.x, ax, z_next, state.u, g, op, tau, beta)
+    x_next = state.x - (g + op.adjoint(state.u + beta * (ax - z_next))) / tau
     ax_next = op.apply(x_next)
     resid_vec = ax_next - z_next
-    u_next = _u_step(state.u, resid_vec, sigma, beta)
+    u_next = state.u + sigma * beta * resid_vec
     new_state = SolverState(
         x=x_next, z=z_next, u=u_next, x_prev=state.x, u_prev=state.u, t=state.t + 1,
         ax=ax_next,

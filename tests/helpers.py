@@ -29,6 +29,12 @@ def grid_prox_oracle(penalty, v, beta, lo=-10.0, hi=10.0, step=1e-4):
     return float(grid[np.argmin(costs)])
 
 
+def dense(op):
+    """The (out_dim, in_dim) matrix of a LinearOperator, column j = apply(e_j)."""
+    cols = [op.apply(e) for e in np.eye(op.in_dim)]
+    return np.column_stack(cols) if cols else np.zeros((op.out_dim, 0))
+
+
 def soft_threshold(v, t):
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 

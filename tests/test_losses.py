@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -363,6 +365,20 @@ def test_memo_misses_changed_bytes_and_nan(monkeypatch, make):
         before = len(passes)
         assert np.isnan(warm.full_gradient(x)).all()
     assert len(passes) == before + 1
+
+
+def test_memo_key_of_a_point_whose_squares_overflow(monkeypatch):
+    # ||x||^2 overflows to inf, but x holds no NaN: the point is keyed, and
+    # the NaN test raises no overflow warning
+    loss = FiniteSumLoss.from_rows("least_squares", 1e-300 * np.eye(3), np.zeros(3))
+    passes = _count_all_row_passes(monkeypatch, loss)
+    x = np.full(3, 1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = loss.full_value(x)
+        assert np.isfinite(value)
+        assert loss.full_value(x) == value
+    assert len(passes) == 1
 
 
 def test_drop_memo_keeps_results():

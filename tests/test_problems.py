@@ -20,7 +20,6 @@ from sadmm import (
     generate_synthetic_quadratic,
     rectangle_phantom,
     run,
-    write_pgm,
 )
 
 
@@ -297,19 +296,6 @@ def test_smooth_minimizer_hand_case():
     )
     # (1/2)[(x-0)^2 + (x-2)^2] minimized at x = 1
     assert np.linalg.norm(loss.full_gradient(np.array([1.0]))) == 0.0
-
-
-def test_write_pgm(tmp_path):
-    img = rectangle_phantom(8, 10, [(2, 2, 5, 6, 1.0)])
-    path = tmp_path / "phantom.pgm"
-    write_pgm(path, img)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "P2"
-    assert lines[1] == "10 8"
-    assert lines[2] == "255"
-    grid = np.array([[int(v) for v in line.split()] for line in lines[3:]])
-    assert grid.shape == (8, 10)
-    assert grid.max() == 255 and grid.min() == 0
 
 
 _NAN = float("nan")

@@ -17,6 +17,7 @@ from sadmm import (
     LeastSquaresComponent,
     ParameterError,
     Problem,
+    ShapeError,
     SolverConfig,
     SolverState,
     augmented_lagrangian,
@@ -27,10 +28,7 @@ from sadmm import (
     run,
     step,
     theoretical_constants,
-    u_update,
     validate_params,
-    x_update,
-    z_update,
 )
 
 
@@ -49,19 +47,41 @@ def unit_lipschitz_identity_problem(n=20, d=10, seed=0):
     return Problem(loss=loss, reg=L1(0.1), op=Identity(d), name="engineered")
 
 
+class FixedEstimate:
+    """Stands in for an estimator: ``estimate`` returns the given g."""
+
+    evals = 0
+
+    def __init__(self, g):
+        self.g = np.asarray(g, dtype=float)
+
+    def estimate(self, x):
+        return self.g.copy()
+
+
+def one_step(op, reg, x, u, beta, tau=1.0, sigma=0.95, g=None):
+    """One ``step`` from (x, u) under op and reg with the estimate g (zeros
+    when omitted); the loss only scores the new iterate."""
+    d = op.in_dim
+    loss = FiniteSumLoss.from_rows("least_squares", np.eye(d), np.zeros(d))
+    problem = Problem(loss=loss, reg=reg, op=op, name="one_step")
+    config = SolverConfig(beta=beta, tau=tau, sigma=sigma)
+    x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
+    state = SolverState(x=x, z=np.zeros(op.out_dim), u=u, x_prev=x, u_prev=u)
+    est = FixedEstimate(np.zeros(d) if g is None else g)
+    return step(state, problem, config, est)[0]
+
+
 def test_z_update_soft_threshold_case():
-    op = Identity(3)
-    x = np.array([2.0, -0.3, 0.1])
-    out = z_update(x, np.zeros(3), op, L1(0.5), 1.0)
-    assert np.allclose(out, [1.5, 0.0, 0.0])
+    new = one_step(Identity(3), L1(0.5), [2.0, -0.3, 0.1], np.zeros(3), 1.0)
+    assert np.allclose(new.z, [1.5, 0.0, 0.0])
 
 
 def test_z_update_zero_penalty_is_shifted_point():
-    op = Identity(3)
     x = np.array([0.5, -1.0, 2.0])
     u = np.array([1.0, 2.0, -4.0])
-    out = z_update(x, u, op, L1(0.0), 2.0)
-    assert np.allclose(out, x + u / 2.0)
+    new = one_step(Identity(3), L1(0.0), x, u, 2.0)
+    assert np.allclose(new.z, x + u / 2.0)
 
 
 def test_z_update_beats_random_candidates():
@@ -71,7 +91,7 @@ def test_z_update_beats_random_candidates():
     x = rng.standard_normal(4)
     u = rng.standard_normal(5)
     beta = 1.7
-    z_star = z_update(x, u, op, reg, beta)
+    z_star = one_step(op, reg, x, u, beta).z
     ax = op.apply(x)
 
     def objective(z):
@@ -84,83 +104,87 @@ def test_z_update_beats_random_candidates():
 
 
 def test_x_update_hand_case():
-    op = Identity(1)
-    out = x_update(
-        np.array([1.0]), np.array([0.0]), np.array([0.0]), np.array([0.0]), op, 2.0, 1.0
-    )
-    assert out[0] == pytest.approx(0.5)
+    # L1(2) at beta = 1 thresholds A x = 1 to z = 0; g = 0 and u = 0 leave
+    # x - (x - 0) / tau
+    new = one_step(Identity(1), L1(2.0), [1.0], [0.0], 1.0, tau=2.0)
+    assert new.z[0] == 0.0
+    assert new.x[0] == pytest.approx(0.5)
 
 
 def test_x_update_zero_direction_keeps_x():
     rng = np.random.default_rng(2)
     op = DenseMatrix(rng.standard_normal((4, 3)))
+    reg = L1(0.2)
     x = rng.standard_normal(3)
-    z = rng.standard_normal(4)
     u = rng.standard_normal(4)
     beta = 1.3
-    g = -op.adjoint(u + beta * (op.apply(x) - z))
-    out = x_update(x, z, u, g, op, 5.0, beta)
-    assert np.array_equal(out, x)
+    ax = op.apply(x)
+    z = reg.prox(ax + u / beta, beta)
+    g = -op.adjoint(u + beta * (ax - z))
+    new = one_step(op, reg, x, u, beta, tau=5.0, g=g)
+    assert np.array_equal(new.x, x)
 
 
 def test_x_update_step_shrinks_with_tau():
     rng = np.random.default_rng(3)
-    op = Identity(4)
     x = rng.standard_normal(4)
-    z = rng.standard_normal(4)
     u = rng.standard_normal(4)
     g = rng.standard_normal(4)
     prev = None
     for tau in (1.0, 10.0, 100.0, 1000.0):
-        delta = np.linalg.norm(x_update(x, z, u, g, op, tau, 1.0) - x)
+        delta = np.linalg.norm(one_step(Identity(4), L1(0.1), x, u, 1.0, tau=tau, g=g).x - x)
         if prev is not None:
             assert delta < prev
         prev = delta
 
 
 def test_u_update_examples():
-    op = Identity(2)
-    u = np.array([3.0, -1.0])
-    z = np.array([1.0, 1.0])
-    x = np.array([1.0, 1.0])
-    assert np.array_equal(u_update(u, x, z, op, 0.9, 1.2), u)
+    # L1(0) at beta = 1: z = x + u = 3, and x_{t+1} = x - (g + u + x - z) = x - g
+    op = Identity(1)
+    new = one_step(op, L1(0.0), [2.0], [1.0], 1.0, sigma=0.95, g=[-1.0])
+    assert new.x[0] == 3.0 and new.z[0] == 3.0
+    assert new.u[0] == 1.0  # A x_{t+1} = z_{t+1} leaves the dual alone
 
-    out = u_update(np.zeros(2), np.array([1.0, -1.0]), np.zeros(2), op, 1.0, 1.0)
-    assert np.array_equal(out, [1.0, -1.0])
+    new = one_step(op, L1(0.0), [2.0], [1.0], 1.0, sigma=0.95, g=[0.0])
+    assert new.x[0] == 2.0
+    assert new.u[0] == pytest.approx(1.0 + 0.95 * (2.0 - 3.0))
 
-    out = u_update(np.array([1.0]), np.array([2.0]), np.array([0.0]), Identity(1), 0.95, 1.0)
-    assert out[0] == pytest.approx(2.9)
-
-
-def test_u_update_sigma_zero_freezes_dual():
-    op = Identity(2)
-    u = np.array([0.4, -0.2])
-    out = u_update(u, np.array([5.0, 5.0]), np.zeros(2), op, 0.0, 1.0)
-    assert np.array_equal(out, u)
+    new = one_step(Identity(2), L1(0.0), [1.0, -1.0], np.zeros(2), 1.0, sigma=1.0, g=[1.0, -1.0])
+    assert np.array_equal(new.x, [0.0, 0.0])
+    assert np.array_equal(new.u, [-1.0, 1.0])
 
 
 def test_step_equals_composition_of_updates():
-    problem = small_problem(seed=4)
-    spec = EstimatorSpec("saga", batch_size=4, seed=8)
-    config = SolverConfig(beta=1.0, tau=4.0, sigma=0.9, estimator=spec, max_epochs=2)
-    est_a = init_estimator(spec, problem.loss, np.zeros(problem.loss.dim))
-    est_b = init_estimator(spec, problem.loss, np.zeros(problem.loss.dim))
-    state = SolverState(
-        x=np.zeros(6), z=np.zeros(6), u=np.zeros(6),
-        x_prev=np.zeros(6), u_prev=np.zeros(6), t=0,
-    )
-    for _ in range(5):
-        new_state, _ = step(state, problem, config, est_a)
-        z1 = z_update(state.x, state.u, problem.op, problem.reg, config.beta)
-        g = est_b.estimate(state.x)
-        x1 = x_update(state.x, z1, state.u, g, problem.op, config.tau, config.beta)
-        u1 = u_update(state.u, x1, z1, problem.op, config.sigma, config.beta)
-        assert np.array_equal(new_state.z, z1)
-        assert np.array_equal(new_state.x, x1)
-        assert np.array_equal(new_state.u, u1)
-        assert np.array_equal(new_state.x_prev, state.x)
-        assert np.array_equal(new_state.u_prev, state.u)
-        state = new_state
+    """Each step equals, byte for byte, the prox, linearized primal and
+    relaxed dual updates written out from the module docstring, under a
+    non-identity operator and every estimator."""
+    base = small_problem(seed=4)
+    op = DenseMatrix(np.random.default_rng(4).standard_normal((9, 6)))
+    problem = Problem(loss=base.loss, reg=L1(0.3), op=op, name="dense_op")
+    reg, d = problem.reg, problem.loss.dim
+    for kind in ("full", "sgd", "saga", "svrg", "sarah"):
+        spec = EstimatorSpec(kind, batch_size=4, epoch_len=3, restart_p=3.0, seed=8)
+        config = SolverConfig(beta=1.3, tau=40.0, sigma=0.9, estimator=spec)
+        beta, tau, sigma = config.beta, config.tau, config.sigma
+        est_a = init_estimator(spec, problem.loss, np.zeros(d))
+        est_b = init_estimator(spec, problem.loss, np.zeros(d))
+        rng = np.random.default_rng(5)
+        x0, u0 = rng.standard_normal(d), rng.standard_normal(op.out_dim)
+        state = SolverState(x=x0, z=np.zeros(op.out_dim), u=u0, x_prev=x0, u_prev=u0)
+        for _ in range(8):
+            new_state, _ = step(state, problem, config, est_a)
+            x, u = state.x, state.u
+            ax = op.apply(x)
+            z1 = reg.prox(ax + u / beta, beta)
+            g = est_b.estimate(x)
+            x1 = x - (g + op.adjoint(u + beta * (ax - z1))) / tau
+            u1 = u + sigma * beta * (op.apply(x1) - z1)
+            assert new_state.z.tobytes() == z1.tobytes()
+            assert new_state.x.tobytes() == x1.tobytes()
+            assert new_state.u.tobytes() == u1.tobytes()
+            assert new_state.x_prev is x and new_state.u_prev is u
+            assert not np.array_equal(x1, x)
+            state = new_state
 
 
 def test_dual_step_identity_every_iteration():
@@ -416,19 +440,12 @@ def test_uniform_random_output_comes_from_trace():
 
 
 def test_update_shape_errors():
-    op = Identity(3)
+    # step takes the shapes run built; run checks x0, the config beta
+    problem = small_problem()
+    with pytest.raises(ShapeError):
+        run(problem, SolverConfig(beta=1.0, tau=4.0), x0=np.zeros(problem.loss.dim + 1))
     with pytest.raises(ParameterError):
-        z_update(np.zeros(3), np.zeros(3), op, L1(0.1), 0.0)
-    from sadmm import ShapeError
-
-    with pytest.raises(ShapeError):
-        z_update(np.zeros(3), np.zeros(2), op, L1(0.1), 1.0)
-    with pytest.raises(ShapeError):
-        x_update(np.zeros(3), np.zeros(2), np.zeros(3), np.zeros(3), op, 1.0, 1.0)
-    with pytest.raises(ShapeError):
-        x_update(np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(2), op, 1.0, 1.0)
-    with pytest.raises(ShapeError):
-        u_update(np.zeros(2), np.zeros(3), np.zeros(3), op, 0.5, 1.0)
+        SolverConfig(beta=0.0, tau=4.0)
 
 
 def test_config_validation():
