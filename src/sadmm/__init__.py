@@ -9,10 +9,7 @@ variance-reduced) stochastic estimate.
 from .diagnostics import (
     DiagnosticsRecord,
     StabilityConstants,
-    apply_B,
-    augmented_lagrangian,
     stability_constants,
-    stability_psi,
 )
 from .estimators import (
     EstimatorSpec,
@@ -32,10 +29,9 @@ from .exceptions import (
     ShapeError,
     SpectralEstimationError,
 )
-from .libsvm import parse_libsvm, write_libsvm
+from .libsvm import parse_libsvm
 from .linops import (
     DenseMatrix,
-    FiniteDifference1D,
     FiniteDifference2D,
     Identity,
     LinearOperator,
@@ -60,7 +56,7 @@ from .problems import (
     generate_synthetic_quadratic,
     rectangle_phantom,
 )
-from .regularizers import L0, L1, Regularizer, WeightedL0
+from .regularizers import L0, L1, Regularizer
 from .solver import (
     ETA_GRID,
     IterationRecord,

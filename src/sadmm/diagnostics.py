@@ -1,15 +1,13 @@
 """Theory-facing instrumentation for solver runs.
 
-This module evaluates the augmented Lagrangian, the stability function
-used to certify descent in expectation, the operator B = tau*Id -
-beta*A^T A appearing in its lagged coupling term. Everything here is a
-pure computation over state snapshots.
+This module holds the coefficients of the stability function used to
+certify descent in expectation, and evaluates it, with the augmented
+Lagrangian it starts from, on the values ``solver.step`` already has.
+Everything here is a pure computation over state snapshots.
 """
 
 from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 from .exceptions import DiagnosticUndefinedError
 
@@ -17,9 +15,6 @@ __all__ = [
     "DiagnosticsRecord",
     "StabilityConstants",
     "stability_constants",
-    "augmented_lagrangian",
-    "apply_B",
-    "stability_psi",
 ]
 
 
@@ -74,49 +69,23 @@ class DiagnosticsRecord:
     grad_err_sq_prev: float
 
 
-def augmented_lagrangian(problem, x, z, u, beta):
-    """F(z) + H(x) + <u, Ax - z> + (beta/2) ||Ax - z||^2.
-
-    ``beta`` may be zero here, giving the plain Lagrangian.
-    """
-    r = problem.op.apply(x) - np.asarray(z, dtype=float)
-    objective = problem.reg.value(z) + problem.loss.full_value(x)
-    return _augmented_lagrangian(objective, np.asarray(u, dtype=float), r, beta)
-
-
 def _augmented_lagrangian(objective, u, r, beta):
-    """``augmented_lagrangian`` given F(z) + H(x) and the residual r = Ax - z."""
+    """F(z) + H(x) + <u, r> + (beta/2) ||r||^2 from ``objective`` = F(z) + H(x)."""
     return objective + float(u @ r) + 0.5 * beta * float(r @ r)
 
 
-def apply_B(x, op, tau, beta):
-    """Apply B = tau*Id - beta*A^T A to a vector."""
-    x = np.asarray(x, dtype=float)
-    return tau * x - beta * op.adjoint(op.apply(x))
-
-
-def stability_psi(problem, state, consts, upsilon, grad_err_sq_prev, beta, sigma, rho):
+def _psi(lb, op, state, consts, upsilon, grad_err_sq_prev, beta, sigma, rho):
     """Stability function at the state's (current, lagged) iterate pair.
 
-    The five terms are the augmented Lagrangian, the lagged dual/primal
-    coupling weighted by c0, the error-bound term in upsilon, the previous
-    squared estimator error, and the lagged squared step weighted by c3.
-
-    Raises DiagnosticUndefinedError if constructed with lambda_m <= 0
-    (already prevented by ``stability_constants``).
+    Adds to the augmented Lagrangian ``lb`` the coupling A^T (u - u_prev) +
+    sigma B dx, B = tau*Id - beta*A^T A and dx = x - x_prev, weighted by c0;
+    the error-bound term in upsilon; the previous squared estimator error;
+    and c3 ||dx||^2.
     """
-    if consts.lambda_m <= 0:
-        raise DiagnosticUndefinedError("stability function undefined for lambda_m <= 0")
-    lb = augmented_lagrangian(problem, state.x, state.z, state.u, beta)
-    return _psi(lb, problem.op, state, consts, upsilon, grad_err_sq_prev, beta, sigma, rho)
-
-
-def _psi(lb, op, state, consts, upsilon, grad_err_sq_prev, beta, sigma, rho):
-    """``stability_psi`` given the augmented Lagrangian ``lb`` at the state."""
-    coupling = op.adjoint(state.u - state.u_prev) + sigma * apply_B(
-        state.x - state.x_prev, op, consts.tau, beta
-    )
     dx = state.x - state.x_prev
+    coupling = op.adjoint(state.u - state.u_prev) + sigma * (
+        consts.tau * dx - beta * op.adjoint(op.apply(dx))
+    )
     denom = sigma * beta * consts.lambda_m
     return (
         lb

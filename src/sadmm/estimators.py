@@ -25,6 +25,7 @@ mutates internal state and is not reentrant.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional
@@ -47,6 +48,17 @@ __all__ = [
     "theoretical_constants",
 ]
 
+
+def _check_count(name, value, least):
+    """Raise ParameterError unless ``value`` is an integer of at least ``least``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ParameterError(f"{name} must be at least {least}")
+
+
 @dataclass(frozen=True)
 class EstimatorSpec:
     """Which backend to use and its sampling parameters.
@@ -66,10 +78,9 @@ class EstimatorSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ParameterError(f"unknown estimator kind {self.kind!r}")
-        if self.batch_size < 1:
-            raise ParameterError("batch_size must be at least 1")
-        if self.epoch_len is not None and self.epoch_len < 1:
-            raise ParameterError("epoch_len must be at least 1")
+        _check_count("batch_size", self.batch_size, 1)
+        if self.epoch_len is not None:
+            _check_count("epoch_len", self.epoch_len, 1)
         if self.kind == "sarah":
             if self.restart_p is None or not self.restart_p > 1:
                 raise ParameterError("sarah requires restart_p > 1")

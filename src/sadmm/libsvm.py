@@ -13,7 +13,7 @@ import scipy.sparse as sp
 from .exceptions import DataError, ParseError
 from .problems import Dataset
 
-__all__ = ["parse_libsvm", "write_libsvm"]
+__all__ = ["parse_libsvm"]
 
 
 def _map_labels(raw):
@@ -95,17 +95,3 @@ def parse_libsvm(path, n_features=None):
     )
     labels = _map_labels(np.array(raw_labels, dtype=float))
     return Dataset(features=features, labels=labels, n=n, d=d)
-
-
-def write_libsvm(path, dataset):
-    """Write a Dataset back to LIBSVM text (inverse of the parser)."""
-    csr = dataset.features.tocsr()
-    with open(path, "w", encoding="utf-8") as fh:
-        for i in range(dataset.n):
-            start, end = csr.indptr[i], csr.indptr[i + 1]
-            pairs = " ".join(
-                f"{csr.indices[k] + 1}:{csr.data[k]:.17g}" for k in range(start, end)
-            )
-            label = dataset.labels[i]
-            label_str = f"{int(label)}" if float(label).is_integer() else f"{label:.17g}"
-            fh.write(f"{label_str} {pairs}".rstrip() + "\n")

@@ -2,9 +2,9 @@
 
 The solver only ever touches an operator through ``apply`` (x -> Ax) and
 ``adjoint`` (y -> A^T y); the concrete classes below cover dense matrices,
-forward finite differences in one and two dimensions, the identity, and
-vertical stacking. ``estimate_spectral`` produces the two spectral
-quantities the step-size analysis needs: the squared operator norm
+forward finite differences on an image, the identity, and vertical
+stacking. ``estimate_spectral`` produces the two spectral quantities the
+step-size analysis needs: the squared operator norm
 (largest eigenvalue of A^T A), from a seeded Lanczos iteration, and the
 smallest eigenvalue of A A^T, which is exactly 0 whenever out_dim > in_dim
 (rank rule) and otherwise comes from the same Lanczos iteration on a
@@ -20,7 +20,6 @@ from .rng import DOMAIN_SPECTRAL, substream
 __all__ = [
     "LinearOperator",
     "DenseMatrix",
-    "FiniteDifference1D",
     "FiniteDifference2D",
     "Identity",
     "VerticalStack",
@@ -85,27 +84,6 @@ class Identity(LinearOperator):
 
     def adjoint(self, y):
         return _check_len(y, self.out_dim, "y").copy()
-
-
-class FiniteDifference1D(LinearOperator):
-    """Forward differences (Ax)_i = x_{i+1} - x_i, mapping R^d -> R^{d-1}."""
-
-    def __init__(self, dim):
-        if dim < 2:
-            raise ShapeError("dim must be at least 2")
-        self.in_dim = int(dim)
-        self.out_dim = int(dim) - 1
-
-    def apply(self, x):
-        x = _check_len(x, self.in_dim, "x")
-        return x[1:] - x[:-1]
-
-    def adjoint(self, y):
-        y = _check_len(y, self.out_dim, "y")
-        out = np.zeros(self.in_dim)
-        out[1:] += y
-        out[:-1] -= y
-        return out
 
 
 class FiniteDifference2D(LinearOperator):

@@ -47,13 +47,6 @@ class Problem:
             raise ShapeError(
                 f"operator in_dim {self.op.in_dim} != loss dim {self.loss.dim}"
             )
-        probe = np.zeros(self.op.out_dim)
-        try:
-            self.reg.value(probe)
-        except ShapeError as exc:
-            raise ShapeError(
-                f"regularizer incompatible with operator out_dim {self.op.out_dim}: {exc}"
-            ) from None
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,9 @@ solver performs after completing the square.
 
 import numpy as np
 
-from .exceptions import ParameterError, ShapeError
+from .exceptions import ParameterError
 
-__all__ = ["Regularizer", "L1", "L0", "WeightedL0"]
+__all__ = ["Regularizer", "L1", "L0"]
 
 
 class Regularizer:
@@ -78,34 +78,4 @@ class L0(Regularizer):
         beta = self._check_beta(beta)
         v = np.asarray(v, dtype=float)
         keep = v * v > 2.0 * self.lam / beta
-        return np.where(keep, v, 0.0)
-
-
-class WeightedL0(Regularizer):
-    """sum_i lam_i [z_i != 0] with one weight per coordinate."""
-
-    def __init__(self, lams):
-        lams = np.asarray(lams, dtype=float)
-        if lams.ndim != 1:
-            raise ShapeError("weights must be a 1-D vector")
-        if not np.all(lams >= 0):
-            raise ParameterError("weights must be nonnegative")
-        self.lams = lams
-
-    def _check_z(self, z):
-        z = np.asarray(z, dtype=float)
-        if z.shape != self.lams.shape:
-            raise ShapeError(
-                f"z must have length {self.lams.shape[0]}, got shape {z.shape}"
-            )
-        return z
-
-    def value(self, z):
-        z = self._check_z(z)
-        return float(np.add.reduce(self.lams * (z != 0.0)))
-
-    def prox(self, v, beta):
-        beta = self._check_beta(beta)
-        v = self._check_z(v)
-        keep = v * v > 2.0 * self.lams / beta
         return np.where(keep, v, 0.0)

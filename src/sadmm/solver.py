@@ -31,6 +31,7 @@ from .diagnostics import (
 from .estimators import (
     EstimatorSpec,
     VarianceConstants,
+    _check_count,
     init_estimator,
     theoretical_constants,
 )
@@ -85,12 +86,10 @@ class SolverConfig:
             raise ParameterError(f"tau must be positive, got {self.tau}")
         if not 0 < self.sigma <= 1:
             raise ParameterError(f"sigma must lie in (0, 1], got {self.sigma}")
-        if self.max_epochs < 1:
-            raise ParameterError("max_epochs must be at least 1")
+        _check_count("max_epochs", self.max_epochs, 1)
         if not self.residual_tol >= 0:
             raise ParameterError("residual_tol must be nonnegative")
-        if self.diag_every < 0:
-            raise ParameterError("diag_every must be nonnegative")
+        _check_count("diag_every", self.diag_every, 0)
         if self.output_rule not in OUTPUT_RULES:
             raise ParameterError(f"unknown output_rule {self.output_rule!r}")
 

@@ -35,6 +35,40 @@ def dense(op):
     return np.column_stack(cols) if cols else np.zeros((op.out_dim, 0))
 
 
+def aug_lagrangian_oracle(problem, x, z, u, beta):
+    """F(z) + H(x) + <u, Mx - z> + (beta/2) ||Mx - z||^2 with M = dense(op)."""
+    r = dense(problem.op) @ x - z
+    return (
+        problem.reg.value(z)
+        + problem.loss.full_value(x)
+        + sum(u[i] * r[i] for i in range(r.size))
+        + 0.5 * beta * sum(r[i] ** 2 for i in range(r.size))
+    )
+
+
+def psi_oracle(problem, state, consts, upsilon, grad_err, beta, sigma, rho):
+    """The stability function at the state's (current, lagged) pair, term by term.
+
+    With M = dense(op), lam = lambda_min(AA^T) and q = sigma beta lam:
+    the augmented Lagrangian, plus 4(1 - sigma)/(sigma q) times the squared
+    coupling M^T (u - u_prev) + sigma (tau I - beta M^T M)(x - x_prev), plus
+    (1/rho)(32/q + eta/2) upsilon, plus (16/q) grad_err, plus c3 times
+    ||x - x_prev||^2. Only c3 is read from ``consts``.
+    """
+    mat = dense(problem.op)
+    dx = state.x - state.x_prev
+    gram_b = consts.tau * np.eye(mat.shape[1]) - beta * mat.T @ mat
+    coupling = mat.T @ (state.u - state.u_prev) + sigma * gram_b @ dx
+    q = sigma * beta * consts.lambda_m
+    return (
+        aug_lagrangian_oracle(problem, state.x, state.z, state.u, beta)
+        + (4.0 * (1.0 - sigma) / (sigma * q)) * float(coupling @ coupling)
+        + (1.0 / rho) * (32.0 / q + consts.eta / 2.0) * upsilon
+        + (16.0 / q) * grad_err
+        + consts.c3 * float(dx @ dx)
+    )
+
+
 def soft_threshold(v, t):
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 

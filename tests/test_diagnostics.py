@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import dense, engineered_feasible_params
+from helpers import aug_lagrangian_oracle, engineered_feasible_params, psi_oracle
 from sadmm import (
     DenseMatrix,
     DiagnosticUndefinedError,
@@ -13,13 +13,13 @@ from sadmm import (
     Problem,
     SolverConfig,
     SolverState,
-    apply_B,
-    augmented_lagrangian,
+    init_estimator,
     run,
     stability_constants,
-    stability_psi,
+    step,
     theoretical_constants,
 )
+from sadmm.solver import _DiagContext
 
 
 def toy_problem(seed=0, n=8, d=4, m=None):
@@ -59,77 +59,61 @@ def test_stability_constants_require_positive_lambda():
         stability_constants(0.4, 1.0, 1.0, 1.0, 0.0, 1.0, 1e-6, 0.0, 1.0, 1.0)
 
 
-def test_apply_B_examples():
-    assert np.array_equal(apply_B(np.array([1.0, 1.0]), Identity(2), 2.0, 1.0), [1.0, 1.0])
-    x = np.array([0.3, -0.4, 2.0])
-    assert np.array_equal(apply_B(x, Identity(3), 5.0, 0.0), 5.0 * x)
+def test_augmented_lagrangian_term_by_term_oracle():
+    # with m = 5 > d, lambda_min(AA^T) = 0: psi is undefined, the
+    # augmented Lagrangian is still recorded
+    for m in (None, 5):
+        problem = toy_problem(seed=6, m=m)
+        spec = EstimatorSpec("sgd", batch_size=3, seed=7)
+        config = SolverConfig(
+            beta=2.3, tau=40.0, sigma=0.5, estimator=spec, max_epochs=4, diag_every=1
+        )
+        result = run(problem, config)
+        s, last = result.state, result.trace[-1].diag
+        assert last.aug_lagrangian == pytest.approx(
+            aug_lagrangian_oracle(problem, s.x, s.z, s.u, config.beta), rel=1e-12
+        )
+        assert (last.psi is None) == (m is not None)
 
 
-def test_apply_B_matches_explicit_gram_oracle():
-    rng = np.random.default_rng(1)
-    mat = rng.standard_normal((6, 4))
-    op = DenseMatrix(mat)
-    tau, beta = 3.7, 1.9
-    explicit = tau * np.eye(4) - beta * mat.T @ mat
-    for _ in range(50):
-        x = rng.standard_normal(4)
-        assert np.allclose(apply_B(x, op, tau, beta), explicit @ x, rtol=1e-12)
+def _diag_step(problem, state, spec, consts, beta, sigma, rho):
+    """One step from a hand-built state with the diagnostics of ``consts``."""
+    config = SolverConfig(beta=beta, tau=consts.tau, sigma=sigma, estimator=spec)
+    est = init_estimator(spec, problem.loss, state.x)
+    return step(state, problem, config, est, _DiagContext(consts, rho))
+
+
+def _kkt_step():
+    """One full-gradient step from a KKT point of (1/4)||x - b||^2 + 0.25 ||x||_1.
+
+    z = x and u = 0.25 sign(x) = -grad H(x); every value is dyadic, so the
+    step is exact and leaves x, z and u where they are.
+    """
+    xs = np.array([1.5, -2.0, 0.75, -1.25])
+    loss = FiniteSumLoss.from_rows("least_squares", np.eye(4), xs + 0.5 * np.sign(xs))
+    problem = Problem(loss=loss, reg=L1(0.25), op=Identity(4))
+    u = 0.25 * np.sign(xs)
+    state = SolverState(x=xs, z=xs.copy(), u=u, x_prev=xs.copy(), u_prev=u.copy(), t=3)
+    beta, sigma, rho = 2.0, 0.5, 1.0
+    consts = stability_constants(sigma, beta, 4.0, 2.0, 1.0, 1.0, 1e-6, 0.0, 1.0, rho)
+    new_state, rec = _diag_step(problem, state, EstimatorSpec("full"), consts, beta, sigma, rho)
+    assert np.array_equal(new_state.x, xs) and np.array_equal(new_state.z, xs)
+    assert np.array_equal(new_state.u, u)
+    return problem, new_state, rec.diag
 
 
 def test_augmented_lagrangian_zero_residual_case():
-    problem = toy_problem(seed=2)
-    rng = np.random.default_rng(3)
-    x = rng.standard_normal(4)
-    z = problem.op.apply(x)
-    u = rng.standard_normal(4)
-    expected = problem.reg.value(z) + problem.loss.full_value(x)
-    assert augmented_lagrangian(problem, x, z, u, 1.7) == pytest.approx(expected)
-
-
-def test_augmented_lagrangian_zero_beta_allowed():
-    problem = toy_problem(seed=4)
-    rng = np.random.default_rng(5)
-    x, z, u = rng.standard_normal(4), rng.standard_normal(4), rng.standard_normal(4)
-    r = problem.op.apply(x) - z
-    expected = problem.reg.value(z) + problem.loss.full_value(x) + float(u @ r)
-    assert augmented_lagrangian(problem, x, z, u, 0.0) == pytest.approx(expected)
-
-
-def test_augmented_lagrangian_term_by_term_oracle():
-    problem = toy_problem(seed=6, m=5)
-    rng = np.random.default_rng(7)
-    x = rng.standard_normal(4)
-    z = rng.standard_normal(5)
-    u = rng.standard_normal(5)
-    beta = 2.3
-    ax = problem.op.apply(x)
-    oracle = (
-        problem.reg.value(z)
-        + problem.loss.full_value(x)
-        + sum(u[i] * (ax[i] - z[i]) for i in range(5))
-        + 0.5 * beta * sum((ax[i] - z[i]) ** 2 for i in range(5))
-    )
-    assert augmented_lagrangian(problem, x, z, u, beta) == pytest.approx(
-        oracle, rel=1e-12
-    )
-
-
-def _stationary_state(x, z, u):
-    return SolverState(x=x, z=z, u=u, x_prev=x.copy(), u_prev=u.copy(), t=3)
+    problem, s, diag = _kkt_step()
+    assert diag.primal_residual == 0.0
+    assert diag.aug_lagrangian == problem.reg.value(s.z) + problem.loss.full_value(s.x)
 
 
 def test_psi_reduces_to_lagrangian_at_stationarity():
-    problem = toy_problem(seed=8)
-    rng = np.random.default_rng(9)
-    x = rng.standard_normal(4)
-    z = rng.standard_normal(4)
-    u = rng.standard_normal(4)
-    beta, sigma = 1.5, 0.4
-    consts = stability_constants(sigma, beta, 4.0, 2.0, 1.0, 1.0, 1e-6, 0.0, 1.0, 0.5)
-    psi = stability_psi(
-        problem, _stationary_state(x, z, u), consts, 0.0, 0.0, beta, sigma, 0.5
+    problem, s, diag = _kkt_step()
+    assert diag.psi == diag.aug_lagrangian
+    assert diag.aug_lagrangian == pytest.approx(
+        aug_lagrangian_oracle(problem, s.x, s.z, s.u, 2.0), rel=1e-15
     )
-    assert psi == pytest.approx(augmented_lagrangian(problem, x, z, u, beta), rel=1e-12)
 
 
 def test_psi_exact_estimator_keeps_only_lagged_terms():
@@ -141,14 +125,11 @@ def test_psi_exact_estimator_keeps_only_lagged_terms():
     beta, sigma, rho = 1.2, 0.3, 1.0
     consts = stability_constants(sigma, beta, 5.0, 2.0, 1.0, 2.0, 1e-6, 0.0, 1.0, rho)
     state = SolverState(x=x, z=z, u=u, x_prev=xp, u_prev=up, t=2)
-    psi = stability_psi(problem, state, consts, 0.0, 0.0, beta, sigma, rho)
-    coupling = problem.op.adjoint(u - up) + sigma * apply_B(x - xp, problem.op, consts.tau, beta)
-    expected = (
-        augmented_lagrangian(problem, x, z, u, beta)
-        + consts.c0 * float(coupling @ coupling)
-        + consts.c3 * float((x - xp) @ (x - xp))
+    new_state, rec = _diag_step(problem, state, EstimatorSpec("full"), consts, beta, sigma, rho)
+    assert rec.diag.upsilon == 0.0 and rec.diag.grad_err_sq_prev == 0.0
+    assert rec.diag.psi == pytest.approx(
+        psi_oracle(problem, new_state, consts, 0.0, 0.0, beta, sigma, rho), rel=1e-12
     )
-    assert psi == pytest.approx(expected, rel=1e-12)
 
 
 def test_psi_term_by_term_oracle():
@@ -161,23 +142,18 @@ def test_psi_term_by_term_oracle():
     beta, sigma, tau, L = 1.9, 0.25, 6.0, 1.4
     lam = 0.8
     eta, c2, v1, v_up, rho = 0.5, 1e-7, 0.2, 1.1, 0.4
-    upsilon, grad_err = 0.37, 0.12
     consts = stability_constants(sigma, beta, tau, L, lam, eta, c2, v1, v_up, rho)
     state = SolverState(x=x, z=z, u=u, x_prev=xp, u_prev=up, t=5)
-    psi = stability_psi(problem, state, consts, upsilon, grad_err, beta, sigma, rho)
-
-    mat = dense(problem.op)
-    denom = sigma * beta * lam
-    coupling = mat.T @ (u - up) + sigma * (tau * (x - xp) - beta * mat.T @ (mat @ (x - xp)))
-    oracle = (
-        augmented_lagrangian(problem, x, z, u, beta)
-        + (4.0 * (1.0 - sigma) / (sigma**2 * beta * lam)) * float(coupling @ coupling)
-        + (1.0 / rho) * (32.0 / denom + eta / 2.0) * upsilon
-        + (16.0 / denom) * grad_err
-        + ((32.0 / denom + eta / 2.0) * (v1 + v_up / rho) + c2
-           + 8.0 * (sigma * tau + L) ** 2 / denom) * float((x - xp) @ (x - xp))
+    spec = EstimatorSpec("sgd", batch_size=3, seed=2)
+    new_state, rec = _diag_step(problem, state, spec, consts, beta, sigma, rho)
+    diag = rec.diag
+    # all five terms are live
+    assert diag.upsilon > 0 and diag.grad_err_sq_prev > 0
+    assert diag.psi == pytest.approx(
+        psi_oracle(problem, new_state, consts, diag.upsilon, diag.grad_err_sq_prev,
+                   beta, sigma, rho),
+        rel=1e-10,
     )
-    assert psi == pytest.approx(oracle, rel=1e-10)
 
 
 def test_psi_dominates_lagrangian_along_a_run():

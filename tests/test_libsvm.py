@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sadmm import DataError, Dataset, ParseError, parse_libsvm, write_libsvm
+from sadmm import DataError, ParseError, parse_libsvm
+
+
+def _libsvm_text(dense, labels):
+    """LIBSVM lines of a dense matrix: the label, then ``j:repr(v)`` per nonzero."""
+    return "".join(
+        f"{label:+g} " + " ".join(f"{j + 1}:{v!r}" for j, v in enumerate(row) if v != 0.0) + "\n"
+        for row, label in zip(dense.tolist(), labels)
+    )
 
 
 def test_parse_basic_line(tmp_path):
@@ -100,17 +107,12 @@ def test_roundtrip_through_writer(tmp_path):
     dense[rng.random((6, 5)) < 0.5] = 0.0
     dense[0, 4] = 1.23456789  # keep column 5 populated
     labels = np.where(rng.random(6) > 0.5, 1.0, -1.0)
-    original = Dataset(
-        features=sp.csr_matrix(dense), labels=labels, n=6, d=5
-    )
     path = tmp_path / "rt.svm"
-    write_libsvm(path, original)
+    path.write_text(_libsvm_text(dense, labels))
     parsed = parse_libsvm(path, n_features=5)
-    assert parsed.n == original.n and parsed.d == original.d
-    assert np.array_equal(parsed.labels, original.labels)
-    assert np.array_equal(
-        np.asarray(parsed.features.todense()), np.asarray(original.features.todense())
-    )
+    assert parsed.n == 6 and parsed.d == 5
+    assert np.array_equal(parsed.labels, labels)
+    assert np.array_equal(np.asarray(parsed.features.todense()), dense)
 
 
 # lines of LIBSVM text from pieces that make it and its faults
@@ -148,13 +150,11 @@ def test_parser_raises_only_parse_or_data_errors(tmp_path, raw, n_features):
 def test_writer_then_parser_round_trips(tmp_path, rows_labels):
     rows, labels = rows_labels
     dense = np.array(rows)
-    original = Dataset(features=sp.csr_matrix(dense), labels=np.array(labels),
-                       n=dense.shape[0], d=dense.shape[1])
     path = tmp_path / "rt.svm"
-    write_libsvm(path, original)
-    parsed = parse_libsvm(path, n_features=original.d)
-    assert (parsed.n, parsed.d) == (original.n, original.d)
-    assert np.array_equal(parsed.labels, original.labels)
+    path.write_text(_libsvm_text(dense, labels))
+    parsed = parse_libsvm(path, n_features=dense.shape[1])
+    assert (parsed.n, parsed.d) == dense.shape
+    assert np.array_equal(parsed.labels, labels)
     assert np.array_equal(parsed.features.toarray(), dense)
 
 

@@ -6,7 +6,6 @@ import pytest
 from helpers import dense
 from sadmm import (
     DenseMatrix,
-    FiniteDifference1D,
     FiniteDifference2D,
     Identity,
     LinearOperator,
@@ -20,15 +19,20 @@ from sadmm import (
 )
 
 
+def differences(d):
+    """Forward differences (Ax)_i = x_{i+1} - x_i as a (d - 1) x d matrix."""
+    return DenseMatrix(np.diff(np.eye(d), axis=0))
+
+
 def operator_zoo(rng):
     ops = [
         Identity(7),
-        FiniteDifference1D(9),
+        differences(9),
         FiniteDifference2D(4, 5),
         DenseMatrix(rng.standard_normal((6, 4))),
-        VerticalStack([FiniteDifference1D(5), Identity(5)]),
+        VerticalStack([differences(5), Identity(5)]),
         VerticalStack(
-            [DenseMatrix(rng.standard_normal((3, 5))), Identity(5), FiniteDifference1D(5)]
+            [DenseMatrix(rng.standard_normal((3, 5))), Identity(5), differences(5)]
         ),
     ]
     return ops
@@ -36,14 +40,14 @@ def operator_zoo(rng):
 
 def test_apply_examples():
     assert np.array_equal(Identity(3).apply([1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
-    assert np.array_equal(FiniteDifference1D(3).apply([1.0, 3.0, 6.0]), [2.0, 3.0])
+    assert np.array_equal(differences(3).apply([1.0, 3.0, 6.0]), [2.0, 3.0])
     dm = DenseMatrix([[1.0, 0.0], [1.0, 1.0]])
     assert np.array_equal(dm.apply([2.0, 3.0]), [2.0, 5.0])
 
 
 def test_adjoint_examples():
     assert np.array_equal(Identity(2).adjoint([4.0, 5.0]), [4.0, 5.0])
-    assert np.array_equal(FiniteDifference1D(3).adjoint([1.0, 1.0]), [-1.0, 0.0, 1.0])
+    assert np.array_equal(differences(3).adjoint([1.0, 1.0]), [-1.0, 0.0, 1.0])
     dm = DenseMatrix([[1.0, 0.0], [1.0, 1.0]])
     assert np.array_equal(dm.adjoint([1.0, 1.0]), [2.0, 1.0])
 
@@ -52,7 +56,7 @@ def test_shape_errors():
     with pytest.raises(ShapeError):
         Identity(3).apply([1.0, 2.0])
     with pytest.raises(ShapeError):
-        FiniteDifference1D(4).adjoint([1.0, 2.0, 3.0, 4.0])
+        differences(4).adjoint([1.0, 2.0, 3.0, 4.0])
     with pytest.raises(ShapeError):
         VerticalStack([Identity(3), Identity(4)])
 
@@ -79,7 +83,7 @@ def test_gram_maps_are_psd():
 
 
 def test_vertical_stack_out_dim_sum():
-    stack = VerticalStack([FiniteDifference1D(4), Identity(4)])
+    stack = VerticalStack([differences(4), Identity(4)])
     assert stack.out_dim == 3 + 4
     assert stack.in_dim == 4
 
@@ -108,7 +112,7 @@ def test_spectral_trivial_examples():
 
 def test_spectral_stacked_difference_identity_is_singular():
     # 7x4 stack [G; I]: AA^T has rank at most 4, so lambda_min(AA^T) = 0.
-    op = VerticalStack([FiniteDifference1D(4), Identity(4)])
+    op = VerticalStack([differences(4), Identity(4)])
     assert op.out_dim == 7
     se = estimate_spectral(op)
     mat = dense(op)
@@ -127,7 +131,7 @@ def test_spectral_matches_dense_oracle():
     # AA^T of the 49 x 50 differences has eigenvalues 2 - 2 cos(k pi / 50),
     # and the 10 x 30 product has rank 4
     rank4 = DenseMatrix(rng.standard_normal((10, 4)) @ rng.standard_normal((4, 30)))
-    ops += [FiniteDifference1D(50), rank4]
+    ops += [differences(50), rank4]
     for op in ops:
         mat = dense(op)
         se = estimate_spectral(op, tol=1e-12, max_iter=200000, seed=5)

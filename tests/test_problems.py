@@ -13,7 +13,6 @@ from sadmm import (
     ParameterError,
     SolverConfig,
     VerticalStack,
-    WeightedL0,
     build_fused_lasso,
     build_graph,
     build_toy_reconstruction,
@@ -309,14 +308,25 @@ _NAN = float("nan")
         lambda: SolverConfig(beta=1.0, tau=1.0, residual_tol=_NAN),
         lambda: L1(_NAN),
         lambda: L0(_NAN),
-        lambda: WeightedL0([0.5, _NAN]),
         lambda: build_fused_lasso(dataset_from_dense([[1.0], [2.0]], [1, -1]), lambda1=_NAN),
         lambda: build_toy_reconstruction(8, 8, noise_sigma=_NAN),
         lambda: generate_synthetic_quadratic(4, 2, conditioning=_NAN),
+        # counts: an integer in range, never a float that compares past the check
+        lambda: SolverConfig(beta=1.0, tau=1.0, max_epochs=_NAN),
+        lambda: SolverConfig(beta=1.0, tau=1.0, max_epochs=1.5),
+        lambda: SolverConfig(beta=1.0, tau=1.0, diag_every=_NAN),
+        lambda: SolverConfig(beta=1.0, tau=1.0, diag_every=2.0),
+        lambda: EstimatorSpec("sgd", batch_size=_NAN),
+        lambda: EstimatorSpec("sgd", batch_size=2.5),
+        lambda: EstimatorSpec("svrg", epoch_len=_NAN),
+        lambda: EstimatorSpec("svrg", epoch_len=0),
     ],
     ids=[
         "solver_beta", "solver_tau", "solver_residual_tol", "l1_lam", "l0_lam",
-        "weighted_l0_lam", "fused_lasso_lambda1", "toy_noise_sigma", "quadratic_conditioning",
+        "fused_lasso_lambda1", "toy_noise_sigma", "quadratic_conditioning",
+        "solver_max_epochs", "solver_max_epochs_fraction", "solver_diag_every",
+        "solver_diag_every_float", "estimator_batch_size", "estimator_batch_size_fraction",
+        "estimator_epoch_len", "estimator_epoch_len_zero",
     ],
 )
 def test_nan_parameter_is_rejected(make):

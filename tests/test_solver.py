@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from helpers import (
+    aug_lagrangian_oracle,
     engineered_feasible_params,
     eta_tilde_oracle,
+    psi_oracle,
 )
 from sadmm import (
     DenseMatrix,
@@ -20,7 +22,6 @@ from sadmm import (
     ShapeError,
     SolverConfig,
     SolverState,
-    augmented_lagrangian,
     build_toy_reconstruction,
     estimate_spectral,
     generate_synthetic_quadratic,
@@ -254,11 +255,11 @@ def test_full_estimator_descends_augmented_lagrangian():
         x=np.zeros(d), z=problem.op.apply(np.zeros(d)), u=np.zeros(d),
         x_prev=np.zeros(d), u_prev=np.zeros(d), t=0,
     )
-    values = [augmented_lagrangian(problem, state.x, state.z, state.u, config.beta)]
+    values = [aug_lagrangian_oracle(problem, state.x, state.z, state.u, config.beta)]
     for _ in range(300):
         state, _ = step(state, problem, config, est)
         values.append(
-            augmented_lagrangian(problem, state.x, state.z, state.u, config.beta)
+            aug_lagrangian_oracle(problem, state.x, state.z, state.u, config.beta)
         )
     diffs = np.diff(values)
     assert np.all(diffs <= 1e-10)
@@ -614,7 +615,6 @@ def test_sarah_diagnostics_take_one_exact_gradient_per_iteration(monkeypatch):
 def test_psi_reuses_the_step_augmented_lagrangian(monkeypatch):
     # step forms the augmented Lagrangian from its objective and residual
     # and hands it to stability psi
-    import sadmm.diagnostics
     import sadmm.solver
 
     problem = generate_synthetic_quadratic(200, 20, seed=3)
@@ -634,9 +634,10 @@ def test_psi_reuses_the_step_augmented_lagrangian(monkeypatch):
     assert len(applies) == 3 + 2 * 20
     last = result.trace[-1].diag
     ctx = sadmm.solver._make_diag_context(problem, config)
-    assert last.psi == sadmm.diagnostics.stability_psi(
-        problem, result.state, ctx.consts, last.upsilon, last.grad_err_sq_prev,
-        config.beta, config.sigma, ctx.rho,
+    assert last.psi == pytest.approx(
+        psi_oracle(problem, result.state, ctx.consts, last.upsilon, last.grad_err_sq_prev,
+                   config.beta, config.sigma, ctx.rho),
+        rel=1e-10,
     )
 
 
