@@ -48,7 +48,6 @@ from .losses import (
 )
 from .problems import (
     Dataset,
-    GraphSpec,
     Problem,
     build_fused_lasso,
     build_graph,

@@ -25,14 +25,13 @@ mutates internal state and is not reentrant.
 """
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .exceptions import NoCertifiedConstantsError, ParameterError, ShapeError
+from .exceptions import NoCertifiedConstantsError, ParameterError, ShapeError, _check_count
 from .rng import DOMAIN_BATCH, Substreams
 
 __all__ = [
@@ -47,16 +46,6 @@ __all__ = [
     "init_estimator",
     "theoretical_constants",
 ]
-
-
-def _check_count(name, value, least):
-    """Raise ParameterError unless ``value`` is an integer of at least ``least``."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
-    if value < least:
-        raise ParameterError(f"{name} must be at least {least}")
 
 
 @dataclass(frozen=True)
@@ -81,6 +70,7 @@ class EstimatorSpec:
         _check_count("batch_size", self.batch_size, 1)
         if self.epoch_len is not None:
             _check_count("epoch_len", self.epoch_len, 1)
+        _check_count("seed", self.seed)
         if self.kind == "sarah":
             if self.restart_p is None or not self.restart_p > 1:
                 raise ParameterError("sarah requires restart_p > 1")

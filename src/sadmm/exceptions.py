@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that raises them."""
+
+import operator
 
 
 class ShapeError(ValueError):
@@ -7,6 +9,17 @@ class ShapeError(ValueError):
 
 class ParameterError(ValueError):
     """A numeric parameter is outside its admissible range."""
+
+
+def _check_count(name, value, least=None, error=ParameterError):
+    """Raise ``error`` unless ``value`` is an integer of at least ``least``
+    (of any sign when ``least`` is None)."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        raise error(f"{name} must be at least {least}")
 
 
 class DataError(ValueError):

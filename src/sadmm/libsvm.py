@@ -94,4 +94,4 @@ def parse_libsvm(path, n_features=None):
         shape=(n, d),
     )
     labels = _map_labels(np.array(raw_labels, dtype=float))
-    return Dataset(features=features, labels=labels, n=n, d=d)
+    return Dataset(features=features, labels=labels)

@@ -14,7 +14,7 @@ materialized.
 
 import numpy as np
 
-from .exceptions import ShapeError, SpectralEstimationError
+from .exceptions import ShapeError, SpectralEstimationError, _check_count
 from .rng import DOMAIN_SPECTRAL, substream
 
 __all__ = [
@@ -75,8 +75,7 @@ class Identity(LinearOperator):
     """The identity on R^dim."""
 
     def __init__(self, dim):
-        if dim < 1:
-            raise ShapeError("dim must be positive")
+        _check_count("dim", dim, 1, ShapeError)
         self.in_dim = self.out_dim = int(dim)
 
     def apply(self, x):
@@ -96,8 +95,8 @@ class FiniteDifference2D(LinearOperator):
     """
 
     def __init__(self, height, width):
-        if height < 2 or width < 2:
-            raise ShapeError("height and width must be at least 2")
+        _check_count("height", height, 2, ShapeError)
+        _check_count("width", width, 2, ShapeError)
         self.height = int(height)
         self.width = int(width)
         self.in_dim = self.height * self.width
@@ -263,10 +262,9 @@ def estimate_spectral(op, tol=1e-10, max_iter=10000, seed=0):
         If a Lanczos iteration fails to converge within ``max_iter``
         steps; the best estimates so far ride along on the exception.
     """
-    if tol <= 0:
-        raise ShapeError("tol must be positive")
-    if max_iter < 1:
-        raise ShapeError("max_iter must be at least 1")
+    if not tol > 0:
+        raise ShapeError(f"tol must be positive, got {tol}")
+    _check_count("max_iter", max_iter, 1, ShapeError)
 
     def ata(v):
         return op.adjoint(op.apply(v))

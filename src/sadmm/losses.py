@@ -6,8 +6,9 @@ gradient i is a scalar c_i times row i. A loss is one row store
 ``(kind, rows, targets)``: builders hand it to ``FiniteSumLoss.from_rows``,
 and ``FiniteSumLoss(components)`` packs a list of one kind into it; a
 list that mixes kinds is rejected. Every loss therefore has the row store,
-the memo below and one of the two storages. Its components are views of
-its rows, built on first use.
+the memo below and one of the two storages. Its components are records,
+a row and its target, that the loss evaluates; after ``from_rows`` they
+are views of its rows, built on first use.
 
 The rows are stored in one of two ways, fixed when they are stored; the
 estimators, the solver and the diagnostics never see which.
@@ -23,12 +24,12 @@ estimators, the solver and the diagnostics never see which.
   the batch is drawn on every iteration.
 
 All evaluations run the kernels ``_link``, ``_values`` and
-``_coefficients`` (the c_i), keyed by kind; a component runs them on a
-one-row dense block; ``component_coefficients`` hands the c_i out with
-the gathered rows, and the estimators its unchecked core ``_batch``,
-which gathers a batch once for the c_i at one or two points. Both storages
-keep the two bit contracts. Row dots are row-consistent, so
-single-component and block evaluations are bit-identical.
+``_coefficients`` (the c_i), keyed by kind. ``component_coefficients``
+hands the c_i out with the gathered rows, and the estimators its
+unchecked core ``_batch``, which gathers a batch once for the c_i at one
+or two points. Both storages keep the two bit contracts. Row dots are
+row-consistent, so single-component and block evaluations are
+bit-identical.
 ``full_gradient`` is the exact mean of the component gradients, the
 axis-0 reduce of their stack, without an n x d table.
 The two storages of the same rows agree to the last bit only where the
@@ -218,7 +219,7 @@ class _CsrRows:
 
 
 class _RowComponent:
-    """One row and its target, evaluated bit for bit as by the loss kernels."""
+    """One row and its target, a record: a ``FiniteSumLoss`` evaluates it."""
 
     def __init__(self, row, b):
         row = np.asarray(row, dtype=float)
@@ -228,16 +229,6 @@ class _RowComponent:
         _check_targets(self.kind, self.b)
 
     dim = property(lambda self: self.row.shape[0])
-
-    def _terms(self, x):
-        return _link(self.kind, _row_dots(self.row[None, :], np.asarray(x, dtype=float)), self.b)
-
-    def value(self, x):
-        return float(_values(self.kind, self._terms(x))[0])
-
-    def gradient(self, x):
-        coef = _coefficients(self.kind, self._terms(x), self.b)
-        return (coef[:, None] * self.row[None, :])[0]
 
 
 class SigmoidComponent(_RowComponent):

@@ -8,13 +8,12 @@ classification dataset, a desk-scale image-reconstruction problem
 transform), and seeded synthetic quadratics used as test fixtures.
 """
 
-from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .exceptions import DataError, ParameterError, ShapeError
+from .exceptions import DataError, ParameterError, ShapeError, _check_count
 from .linops import DenseMatrix, FiniteDifference2D, Identity, VerticalStack
 from .losses import FiniteSumLoss
 from .regularizers import L0, L1
@@ -23,7 +22,6 @@ from .rng import DOMAIN_MASK, DOMAIN_NOISE, DOMAIN_PROBLEM, substream
 __all__ = [
     "Problem",
     "Dataset",
-    "GraphSpec",
     "build_graph",
     "build_fused_lasso",
     "build_toy_reconstruction",
@@ -34,13 +32,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Problem:
-    """Immutable bundle (loss H, regularizer F, operator A)."""
+    """Immutable bundle of the objective H(x) + F(Ax): loss H, regularizer F,
+    operator A and a descriptive name."""
 
     loss: FiniteSumLoss
     reg: object
     op: object
     name: str = ""
-    metadata: Dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.op.in_dim != self.loss.dim:
@@ -51,32 +49,22 @@ class Problem:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Sample matrix in sparse row storage plus labels."""
+    """Sample matrix in sparse row storage plus labels; n and d read its shape."""
 
     features: sp.csr_matrix
     labels: np.ndarray
-    n: int
-    d: int
+
+    n = property(lambda self: self.features.shape[0])
+    d = property(lambda self: self.features.shape[1])
 
     def __post_init__(self):
-        if self.features.shape != (self.n, self.d):
-            raise DataError(
-                f"feature matrix shape {self.features.shape} != ({self.n}, {self.d})"
-            )
         if self.labels.shape != (self.n,):
             raise DataError("row count and label count differ")
 
 
-@dataclass(frozen=True)
-class GraphSpec:
-    """Feature-pair edges, ordered by (i, j) with i < j."""
-
-    edges: Tuple[Tuple[int, int], ...]
-    rho_c: float = float("nan")
-
-
 def build_graph(data, rho_c):
-    """Edges between feature columns with |Pearson correlation| >= rho_c.
+    """Edges between feature columns with |Pearson correlation| >= rho_c,
+    a tuple of int pairs (i, j) with i < j, in ascending order.
 
     Constant columns get correlation zero. Exact duplicates are snapped to
     correlation one so that a threshold of 1.0 still finds them.
@@ -95,14 +83,15 @@ def build_graph(data, rho_c):
     snap = np.abs(corr) >= 1.0 - 1e-12
     corr = np.where(snap, np.sign(corr), corr)
     first, second = np.nonzero(np.triu(np.abs(corr) >= rho_c, 1))
-    return GraphSpec(edges=tuple(zip(first.tolist(), second.tolist())), rho_c=rho_c)
+    return tuple(zip(first.tolist(), second.tolist()))
 
 
 def build_fused_lasso(data, lambda1=1e-5, graph=None, name="fused_lasso"):
     """Sigmoid-loss classification with an L1 penalty on [G; I] x.
 
     The loss is the row store of the dense samples and their labels. G holds
-    one row e_i - e_j per graph edge; with an empty graph it is omitted.
+    one row e_i - e_j per edge (i, j) of ``graph``, as ``build_graph``
+    returns it; with no edges (None or ()) it is omitted.
     """
     labels = np.asarray(data.labels, dtype=float)
     if not set(np.unique(labels)) <= {-1.0, 1.0}:
@@ -110,22 +99,15 @@ def build_fused_lasso(data, lambda1=1e-5, graph=None, name="fused_lasso"):
     if not lambda1 > 0:
         raise ParameterError(f"lambda1 must be positive, got {lambda1}")
     loss = FiniteSumLoss.from_rows("sigmoid", data.features.todense(), labels)
-    edges = graph.edges if graph is not None else ()
-    if edges:
-        pairs, k = np.array(edges), np.arange(len(edges))
-        g_rows = np.zeros((len(edges), data.d))
+    if graph:
+        pairs, k = np.array(graph), np.arange(len(graph))
+        g_rows = np.zeros((len(graph), data.d))
         g_rows[k, pairs[:, 0]] = 1.0
         g_rows[k, pairs[:, 1]] = -1.0
         op = VerticalStack([DenseMatrix(g_rows), Identity(data.d)])
     else:
         op = Identity(data.d)
-    metadata = {
-        "lambda1": lambda1,
-        "n_edges": len(edges),
-        "graph_rho_c": graph.rho_c if graph is not None else None,
-        "dataset_shape": (data.n, data.d),
-    }
-    return Problem(loss=loss, reg=L1(lambda1), op=op, name=name, metadata=metadata)
+    return Problem(loss=loss, reg=L1(lambda1), op=op, name=name)
 
 
 def rectangle_phantom(height, width, rectangles):
@@ -173,8 +155,8 @@ def build_toy_reconstruction(
     2-D forward-difference operator. Returns the Problem and the flattened
     ground-truth image.
     """
-    if height < 8 or width < 8:
-        raise ParameterError("phantom needs at least 8x8 pixels")
+    _check_count("height", height, 8)
+    _check_count("width", width, 8)
     if not noise_sigma >= 0:
         raise ParameterError("noise_sigma must be nonnegative")
     if forward not in ("blur", "mask"):
@@ -188,8 +170,7 @@ def build_toy_reconstruction(
     truth = truth_img.ravel()
 
     if forward == "blur":
-        if radius < 0:
-            raise ParameterError("blur radius must be nonnegative")
+        _check_count("radius", radius, 0)
         # pixel (i, j) averages its (2 radius + 1)^2 window, clipped at the border
         near_r, near_c = (np.abs(np.subtract.outer(np.arange(m), np.arange(m))) <= radius
                           for m in (height, width))
@@ -210,21 +191,7 @@ def build_toy_reconstruction(
     loss = FiniteSumLoss.from_rows("least_squares", rows, b)
     op = FiniteDifference2D(height, width)
     reg = L1(lam) if reg_kind == "l1" else L0(lam)
-    metadata = {
-        "height": height,
-        "width": width,
-        "forward": forward,
-        "radius": radius,
-        "keep": keep,
-        "noise_sigma": noise_sigma,
-        "lambda": lam,
-        "reg_kind": reg_kind,
-        "seed": seed,
-    }
-    return (
-        Problem(loss=loss, reg=reg, op=op, name="toy_reconstruction", metadata=metadata),
-        truth,
-    )
+    return Problem(loss=loss, reg=reg, op=op, name="toy_reconstruction"), truth
 
 
 def generate_synthetic_quadratic(n, d, seed=0, conditioning=1.0):
@@ -233,10 +200,10 @@ def generate_synthetic_quadratic(n, d, seed=0, conditioning=1.0):
     Rows are Gaussian, normalized, then scaled so the max/min row-norm
     ratio equals ``conditioning``; with Gaussian targets they are the loss's
     row store. The regularizer is L1(0.1) and the operator is the
-    identity; the unregularized minimizer is kept in the metadata.
+    identity.
     """
-    if n < 1 or d < 1:
-        raise ParameterError("n and d must be positive")
+    _check_count("n", n, 1)
+    _check_count("d", d, 1)
     if not conditioning >= 1:
         raise ParameterError("conditioning must be at least 1")
     rng = substream(seed, DOMAIN_PROBLEM, 0)
@@ -250,17 +217,5 @@ def generate_synthetic_quadratic(n, d, seed=0, conditioning=1.0):
         scales = np.ones(1)
     rows = rows * scales[:, None]
     b = rng.standard_normal(n)
-    smooth_min, *_ = np.linalg.lstsq(rows, b, rcond=None)
     loss = FiniteSumLoss.from_rows("least_squares", rows, b)
-    metadata = {
-        "seed": seed,
-        "conditioning": conditioning,
-        "smooth_minimizer": smooth_min,
-    }
-    return Problem(
-        loss=loss,
-        reg=L1(0.1),
-        op=Identity(d),
-        name="synthetic_quadratic",
-        metadata=metadata,
-    )
+    return Problem(loss=loss, reg=L1(0.1), op=Identity(d), name="synthetic_quadratic")

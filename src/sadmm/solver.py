@@ -31,7 +31,6 @@ from .diagnostics import (
 from .estimators import (
     EstimatorSpec,
     VarianceConstants,
-    _check_count,
     init_estimator,
     theoretical_constants,
 )
@@ -41,6 +40,7 @@ from .exceptions import (
     ParameterError,
     ShapeError,
     SpectralEstimationError,
+    _check_count,
 )
 from .linops import estimate_spectral
 from .rng import DOMAIN_OUTPUT, substream
@@ -90,6 +90,7 @@ class SolverConfig:
         if not self.residual_tol >= 0:
             raise ParameterError("residual_tol must be nonnegative")
         _check_count("diag_every", self.diag_every, 0)
+        _check_count("seed", self.seed)
         if self.output_rule not in OUTPUT_RULES:
             raise ParameterError(f"unknown output_rule {self.output_rule!r}")
 

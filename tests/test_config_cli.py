@@ -6,6 +6,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from sadmm import (
+    build_fused_lasso,
+    build_graph,
+    build_toy_reconstruction,
+    generate_synthetic_quadratic,
+    parse_libsvm,
+)
 from sadmm.cli import main
 from sadmm.config import build_problem, load_run_config
 from sadmm.exceptions import ConfigError
@@ -638,6 +645,19 @@ _SOLVER_DEFAULTS = {
     "sigma": 0.95, "max_epochs": 10, "residual_tol": 0.0, "diag_every": 0, "seed": 0,
     "output_rule": "final",
 }
+_PROBLEM_DEFAULTS = {
+    "fused_lasso": {"lambda1": 1e-5, "rho_c": 0.9, "n_features": None, "name": "fused_lasso"},
+    "toy_reconstruction": {
+        "forward": "blur", "radius": 1, "keep": 0.5, "noise_sigma": 0.0, "lam": 0.01,
+        "reg_kind": "l1", "seed": 0,
+    },
+    "synthetic_quadratic": {"seed": 0, "conditioning": 1.0},
+}
+
+
+def _row_store_bytes(problem):
+    comps = problem.loss.components
+    return np.vstack([c.row for c in comps]).tobytes(), np.array([c.b for c in comps]).tobytes()
 
 
 @pytest.mark.parametrize("builder", ["fused_lasso", "toy_reconstruction", "synthetic_quadratic"])
@@ -658,22 +678,28 @@ def test_every_default_of_every_section(tmp_path, builder, estimator):
     assert (spec.kind, spec.batch_size, spec.epoch_len, spec.seed) == (kind, 1, None, 0)
     assert spec.restart_p == (8.0 if kind == "sarah" else None)
     assert (rc.trace_path, rc.plot_data, rc.label, rc.test_data) == (None, False, kind, None)
-    problem = build_problem(rc)
-    meta = problem.metadata
+    # the INI defaults are the builders' own: a direct call with none given agrees
+    args = dict(rc.problem)
+    assert args.pop("builder") == builder
     if builder == "fused_lasso":
-        assert (problem.name, meta["lambda1"], meta["graph_rho_c"]) == ("fused_lasso", 1e-5, 0.9)
-        assert meta["dataset_shape"] == (3, 3)
+        assert args.pop("data") == str(tmp_path / "train.svm")
+        data = parse_libsvm(tmp_path / "train.svm")
+        assert (data.n, data.d) == (3, 3)
+        direct = build_fused_lasso(data, graph=build_graph(data, rho_c=0.9))
     elif builder == "toy_reconstruction":
-        assert {k: meta[k] for k in ("height", "width", "forward", "radius", "keep")} == {
-            "height": 8, "width": 9, "forward": "blur", "radius": 1, "keep": 0.5,
-        }
-        assert (meta["noise_sigma"], meta["lambda"], meta["reg_kind"], meta["seed"]) == (
-            0.0, 0.01, "l1", 0,
-        )
+        assert (args.pop("height"), args.pop("width")) == (8, 9)
+        direct, _truth = build_toy_reconstruction(8, 9)
     else:
-        assert (problem.loss.n, problem.loss.dim, meta["seed"], meta["conditioning"]) == (
-            12, 4, 0, 1.0,
-        )
+        assert (args.pop("n"), args.pop("d")) == (12, 4)
+        direct = generate_synthetic_quadratic(12, 4)
+    assert args == _PROBLEM_DEFAULTS[builder]
+    problem = build_problem(rc)
+    assert problem.name == direct.name
+    assert _row_store_bytes(problem) == _row_store_bytes(direct)
+    assert (type(problem.reg), problem.reg.lam) == (type(direct.reg), direct.reg.lam)
+    assert (type(problem.op), problem.op.in_dim, problem.op.out_dim) == (
+        type(direct.op), direct.op.in_dim, direct.op.out_dim,
+    )
 
 
 @pytest.mark.parametrize(

@@ -61,6 +61,45 @@ def test_shape_errors():
         VerticalStack([Identity(3), Identity(4)])
 
 
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Identity(2.5),
+        lambda: Identity(_NAN),
+        lambda: Identity(0),
+        lambda: FiniteDifference2D(3.7, 4),
+        lambda: FiniteDifference2D(4, _NAN),
+        lambda: FiniteDifference2D(4, 1),
+    ],
+    ids=["identity_fraction", "identity_nan", "identity_zero", "fd2d_height_fraction",
+         "fd2d_width_nan", "fd2d_width_one"],
+)
+def test_operator_dimensions_must_be_integers_in_range(make):
+    with pytest.raises(ShapeError):
+        make()
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"tol": _NAN},
+        {"tol": 0.0},
+        {"tol": -1e-10},
+        {"max_iter": _NAN},
+        {"max_iter": 2.5},
+        {"max_iter": 0},
+    ],
+    ids=["tol_nan", "tol_zero", "tol_negative", "max_iter_nan", "max_iter_fraction",
+         "max_iter_zero"],
+)
+def test_spectral_rejects_bad_tol_and_max_iter(kwargs):
+    with pytest.raises(ShapeError):
+        estimate_spectral(Identity(3), **kwargs)
+
+
 def test_adjoint_consistency_1000_pairs():
     rng = np.random.default_rng(7)
     for op in operator_zoo(rng):

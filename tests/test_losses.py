@@ -33,22 +33,22 @@ def random_least_squares_loss(rng, n=10, d=6):
 
 
 def test_sigmoid_gradient_at_zero():
-    c = SigmoidComponent([1.0, 0.0], 1.0)
-    assert np.allclose(c.gradient([0.0, 0.0]), [-0.25, 0.0])
-    assert c.value([0.0, 0.0]) == pytest.approx(0.5)
+    loss = FiniteSumLoss([SigmoidComponent([1.0, 0.0], 1.0)])
+    assert np.allclose(loss.component_gradient(0, [0.0, 0.0]), [-0.25, 0.0])
+    assert loss.component_value(0, [0.0, 0.0]) == pytest.approx(0.5)
 
 
 def test_least_squares_gradient_example():
-    c = LeastSquaresComponent([1.0, 1.0], 3.0)
-    assert np.array_equal(c.gradient([1.0, 1.0]), [-2.0, -2.0])
-    assert c.value([1.0, 1.0]) == pytest.approx(1.0)
+    loss = FiniteSumLoss([LeastSquaresComponent([1.0, 1.0], 3.0)])
+    assert np.array_equal(loss.component_gradient(0, [1.0, 1.0]), [-2.0, -2.0])
+    assert loss.component_value(0, [1.0, 1.0]) == pytest.approx(1.0)
 
 
 def test_sigmoid_gradient_matches_finite_differences():
-    c = SigmoidComponent([2.0, -1.0], -1.0)
+    loss = FiniteSumLoss([SigmoidComponent([2.0, -1.0], -1.0)])
     x = np.array([0.3, 0.7])
-    fd = central_diff_gradient(c.value, x)
-    grad = c.gradient(x)
+    fd = central_diff_gradient(lambda v: loss.component_value(0, v), x)
+    grad = loss.component_gradient(0, x)
     assert np.linalg.norm(grad - fd) <= 1e-6 * max(1.0, np.linalg.norm(fd))
 
 
@@ -245,12 +245,12 @@ def test_value_ranges():
 
 
 def test_extreme_scores_do_not_overflow():
-    c = SigmoidComponent([700.0], 1.0)
+    loss = FiniteSumLoss([SigmoidComponent([700.0], 1.0)])
     for x in ([1.0], [-1.0]):
-        assert np.isfinite(c.value(x))
-        assert np.isfinite(c.gradient(x)).all()
-    assert c.value([1.0]) == pytest.approx(0.0, abs=1e-300)
-    assert c.value([-1.0]) == pytest.approx(1.0)
+        assert np.isfinite(loss.component_value(0, x))
+        assert np.isfinite(loss.component_gradient(0, x)).all()
+    assert loss.component_value(0, [1.0]) == pytest.approx(0.0, abs=1e-300)
+    assert loss.component_value(0, [-1.0]) == pytest.approx(1.0)
 
 
 def test_mixed_kinds_are_rejected():
@@ -473,15 +473,17 @@ def test_row_store_components_are_views_of_its_own_copy():
         assert isinstance(c, LeastSquaresComponent) and c.dim == 4
         assert np.array_equal(c.r, kept_rows[i]) and c.b == kept_targets[i]
         assert not c.r.flags.writeable
-        assert c.value(x) == loss.component_value(i, x)
-        assert c.gradient(x).tobytes() == loss.component_gradient(i, x).tobytes()
+        own = FiniteSumLoss([c])
+        assert own.component_value(0, x) == loss.component_value(i, x)
+        assert own.component_gradient(0, x).tobytes() == loss.component_gradient(i, x).tobytes()
     labels = np.where(rng.random(5) > 0.5, 1.0, -1.0)
     sig = FiniteSumLoss.from_rows("sigmoid", kept_rows[:5], labels)
     for i, c in enumerate(sig.components):
         assert isinstance(c, SigmoidComponent)
         assert np.array_equal(c.a, kept_rows[i]) and c.b == labels[i]
-        assert c.value(x) == sig.component_value(i, x)
-        assert c.gradient(x).tobytes() == sig.component_gradient(i, x).tobytes()
+        own = FiniteSumLoss([c])
+        assert own.component_value(0, x) == sig.component_value(i, x)
+        assert own.component_gradient(0, x).tobytes() == sig.component_gradient(i, x).tobytes()
 
 
 # --- CSR rows -----------------------------------------------------------------

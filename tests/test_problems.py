@@ -23,13 +23,19 @@ from sadmm import (
 
 
 def dataset_from_dense(mat, labels):
-    mat = np.asarray(mat, dtype=float)
     return Dataset(
-        features=sp.csr_matrix(mat),
+        features=sp.csr_matrix(np.asarray(mat, dtype=float)),
         labels=np.asarray(labels, dtype=float),
-        n=mat.shape[0],
-        d=mat.shape[1],
     )
+
+
+def test_dataset_shape_comes_from_features():
+    data = dataset_from_dense(np.ones((3, 2)), np.ones(3))
+    assert (data.n, data.d) == (3, 2)
+    with pytest.raises(AttributeError):
+        data.n = 4
+    with pytest.raises(DataError, match="label count"):
+        dataset_from_dense(np.ones((3, 2)), np.ones(2))
 
 
 def test_graph_identical_columns_found_at_threshold_one():
@@ -38,7 +44,7 @@ def test_graph_identical_columns_found_at_threshold_one():
     mat = np.column_stack([col, col, rng.standard_normal(30)])
     data = dataset_from_dense(mat, np.ones(30))
     graph = build_graph(data, rho_c=1.0)
-    assert (0, 1) in graph.edges
+    assert (0, 1) in graph
 
 
 def test_graph_orthogonal_columns_give_no_edge():
@@ -53,7 +59,7 @@ def test_graph_orthogonal_columns_give_no_edge():
     )
     data = dataset_from_dense(mat, np.ones(4))
     graph = build_graph(data, rho_c=0.9)
-    assert graph.edges == ()
+    assert graph == ()
 
 
 def test_graph_constant_column_treated_as_correlation_zero():
@@ -61,7 +67,7 @@ def test_graph_constant_column_treated_as_correlation_zero():
     mat = np.column_stack([np.ones(20), rng.standard_normal(20)])
     data = dataset_from_dense(mat, np.ones(20))
     graph = build_graph(data, rho_c=0.1)
-    assert graph.edges == ()
+    assert graph == ()
 
 
 def test_graph_planted_pair_is_exactly_recovered():
@@ -86,7 +92,7 @@ def test_graph_planted_pair_is_exactly_recovered():
     )
     assert expected == ((0, 1),)
     graph = build_graph(data, rho_c=0.95)
-    assert graph.edges == expected
+    assert graph == expected
 
 
 def _loop_edges(mat, rho_c):
@@ -115,9 +121,9 @@ def test_graph_edges_and_rows_match_a_pairwise_loop(rho_c):
     data = dataset_from_dense(mat, labels)
     graph = build_graph(data, rho_c)
     expected = _loop_edges(mat, rho_c)
-    assert graph.edges == expected
-    assert (1, 5) in graph.edges
-    assert all(type(i) is int and type(j) is int for i, j in graph.edges)
+    assert graph == expected and type(graph) is tuple
+    assert (1, 5) in graph
+    assert all(type(i) is int and type(j) is int for i, j in graph)
     problem = build_fused_lasso(data, graph=graph)
     g_rows = problem.op.operators[0].matrix
     for k, (i, j) in enumerate(expected):
@@ -133,11 +139,9 @@ def test_fused_lasso_edge_rows_and_shape():
     data = dataset_from_dense(mat, labels)
     graph = build_graph(data, rho_c=1e-9)  # every pair becomes an edge
     problem = build_fused_lasso(data, lambda1=1e-5, graph=graph)
-    assert problem.op.out_dim == len(graph.edges) + 3
+    assert problem.op.out_dim == len(graph) + 3
 
-    from sadmm.problems import GraphSpec
-
-    single = build_fused_lasso(data, lambda1=1e-5, graph=GraphSpec(edges=((0, 1),)))
+    single = build_fused_lasso(data, lambda1=1e-5, graph=((0, 1),))
     assert isinstance(single.op, VerticalStack)
     assert single.op.out_dim == 4
     g_row = single.op.operators[0].matrix[0]
@@ -150,6 +154,7 @@ def test_fused_lasso_empty_graph_is_plain_lasso():
     data = dataset_from_dense(mat, np.ones(8))
     problem = build_fused_lasso(data, lambda1=1e-5, graph=None)
     assert isinstance(problem.op, Identity)
+    assert isinstance(build_fused_lasso(data, lambda1=1e-5, graph=()).op, Identity)
     x = rng.standard_normal(3)
     assert problem.reg.value(problem.op.apply(x)) == pytest.approx(
         1e-5 * np.abs(x).sum()
@@ -171,7 +176,7 @@ def test_fused_lasso_identity_block_keeps_norm_at_least_one():
     problem = build_fused_lasso(data, graph=graph)
     from sadmm import estimate_spectral
 
-    if graph.edges:
+    if graph:
         se = estimate_spectral(problem.op)
         assert se.op_norm_sq >= 1.0 - 1e-9
 
@@ -280,9 +285,11 @@ def test_synthetic_quadratic_conditioning_and_determinism():
         assert np.array_equal(a.r, b.r) and a.b == b.b
 
 
-def test_synthetic_quadratic_minimizer_metadata():
+def test_synthetic_quadratic_least_squares_minimizer():
     problem = generate_synthetic_quadratic(30, 6, seed=6)
-    x_star = problem.metadata["smooth_minimizer"]
+    rows = np.vstack([c.r for c in problem.loss.components])
+    b = np.array([c.b for c in problem.loss.components])
+    x_star, *_ = np.linalg.lstsq(rows, b, rcond=None)
     grad = problem.loss.full_gradient(x_star)
     assert np.linalg.norm(grad) < 1e-8
 
@@ -320,13 +327,25 @@ _NAN = float("nan")
         lambda: EstimatorSpec("sgd", batch_size=2.5),
         lambda: EstimatorSpec("svrg", epoch_len=_NAN),
         lambda: EstimatorSpec("svrg", epoch_len=0),
+        lambda: build_toy_reconstruction(8, 8, radius=_NAN),
+        lambda: build_toy_reconstruction(8.5, 8),
+        lambda: build_toy_reconstruction(8, 7),
+        lambda: generate_synthetic_quadratic(_NAN, 4),
+        lambda: generate_synthetic_quadratic(4, 0),
+        # seeds: integers of any sign
+        lambda: EstimatorSpec("sgd", seed=_NAN),
+        lambda: EstimatorSpec("sgd", seed=1.5),
+        lambda: SolverConfig(beta=1.0, tau=1.0, seed=_NAN),
+        lambda: SolverConfig(beta=1.0, tau=1.0, seed=1.5),
     ],
     ids=[
         "solver_beta", "solver_tau", "solver_residual_tol", "l1_lam", "l0_lam",
         "fused_lasso_lambda1", "toy_noise_sigma", "quadratic_conditioning",
         "solver_max_epochs", "solver_max_epochs_fraction", "solver_diag_every",
         "solver_diag_every_float", "estimator_batch_size", "estimator_batch_size_fraction",
-        "estimator_epoch_len", "estimator_epoch_len_zero",
+        "estimator_epoch_len", "estimator_epoch_len_zero", "toy_radius", "toy_height_fraction",
+        "toy_width_small", "quadratic_n", "quadratic_d_zero", "estimator_seed",
+        "estimator_seed_fraction", "solver_seed", "solver_seed_fraction",
     ],
 )
 def test_nan_parameter_is_rejected(make):
@@ -336,3 +355,9 @@ def test_nan_parameter_is_rejected(make):
 
 def test_infinite_residual_tol_stays_valid():
     assert SolverConfig(beta=1.0, tau=1.0, residual_tol=float("inf")).residual_tol == float("inf")
+
+
+def test_negative_integer_seeds_stay_valid():
+    # the INI path reads seeds with int(), which takes any sign
+    assert EstimatorSpec("sgd", seed=-3).seed == -3
+    assert SolverConfig(beta=1.0, tau=1.0, seed=np.int64(-1)).seed == -1
