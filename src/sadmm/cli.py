@@ -139,6 +139,8 @@ def cmd_solve(config_path):
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except _CONFIG_ERRORS as exc:  # e.g. a batch larger than the data set
+        return _fail(exc)
     try:
         write_trace(run_config.trace_path, result.trace, with_diagnostics=config.diag_every > 0)
         if run_config.plot_data:

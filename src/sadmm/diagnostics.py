@@ -6,6 +6,7 @@ Lagrangian it starts from, on the values ``solver.step`` already has.
 Everything here is a pure computation over state snapshots.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -18,38 +19,53 @@ __all__ = [
 ]
 
 
+def _square(x):
+    """x ** 2, reading an overflow as inf."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
+def _quot(a, b):
+    """a / b for a >= 0, reading a division by an underflowed b = 0 as inf
+    (nan for 0 / 0)."""
+    try:
+        return a / b
+    except ZeroDivisionError:
+        return math.inf if a > 0 else math.nan
+
+
 @dataclass(frozen=True)
 class StabilityConstants:
-    """Coefficients of the stability function, frozen for one run.
+    """Weights of the stability function's correction terms, frozen for one run.
 
-    c0 = 4(1-sigma) / (sigma^2 beta lambda_m)
-    c1 = 8(sigma tau + L)^2 / (sigma beta lambda_m)
-    c3 = (32/(sigma beta lambda_m) + eta/2)(V1 + V_Upsilon/rho) + c2 + c1
+    With q = sigma beta lambda_m and c1 = 8(sigma tau + L)^2 / q:
 
-    ``tau`` rides along because the lagged coupling term applies
-    B = tau*Id - beta*A^T A.
+    c0 = 4(1-sigma) / (sigma q)
+    c3 = (32/q + eta/2)(V1 + V_Upsilon/rho) + c2 + c1
+    c_upsilon = (1/rho)(32/q + eta/2)
+    c_err = 16/q
     """
 
     c0: float
-    c1: float
     c3: float
-    lambda_m: float
-    eta: float
-    c2: float
-    tau: float
+    c_upsilon: float
+    c_err: float
 
 
 def stability_constants(sigma, beta, tau, L, lambda_m, eta, c2, v1, v_upsilon, rho):
-    """Evaluate the stability-function coefficients from raw parameters."""
-    if lambda_m <= 0:
+    """Evaluate the stability-function weights from raw parameters."""
+    if not lambda_m > 0:
         raise DiagnosticUndefinedError(
             "stability constants need lambda_min(AA^T) > 0"
         )
     denom = sigma * beta * lambda_m
-    c0 = 4.0 * (1.0 - sigma) / (sigma * denom)
-    c1 = 8.0 * (sigma * tau + L) ** 2 / denom
-    c3 = (32.0 / denom + eta / 2.0) * (v1 + v_upsilon / rho) + c2 + c1
-    return StabilityConstants(c0, c1, c3, lambda_m, eta, c2, tau)
+    c0 = _quot(4.0 * (1.0 - sigma), sigma * denom)
+    c1 = _quot(8.0 * _square(sigma * tau + L), denom)
+    w = _quot(32.0, denom) + eta / 2.0
+    c3 = w * (v1 + v_upsilon / rho) + c2 + c1
+    return StabilityConstants(c0, c3, (1.0 / rho) * w, _quot(16.0, denom))
 
 
 @dataclass
@@ -74,23 +90,22 @@ def _augmented_lagrangian(objective, u, r, beta):
     return objective + float(u @ r) + 0.5 * beta * float(r @ r)
 
 
-def _psi(lb, op, state, consts, upsilon, grad_err_sq_prev, beta, sigma, rho):
+def _psi(lb, op, state, config, consts, upsilon, grad_err_sq_prev):
     """Stability function at the state's (current, lagged) iterate pair.
 
     Adds to the augmented Lagrangian ``lb`` the coupling A^T (u - u_prev) +
     sigma B dx, B = tau*Id - beta*A^T A and dx = x - x_prev, weighted by c0;
     the error-bound term in upsilon; the previous squared estimator error;
-    and c3 ||dx||^2.
+    and c3 ||dx||^2. sigma, beta and tau are the run's ``config``.
     """
     dx = state.x - state.x_prev
-    coupling = op.adjoint(state.u - state.u_prev) + sigma * (
-        consts.tau * dx - beta * op.adjoint(op.apply(dx))
+    coupling = op.adjoint(state.u - state.u_prev) + config.sigma * (
+        config.tau * dx - config.beta * op.adjoint(op.apply(dx))
     )
-    denom = sigma * beta * consts.lambda_m
     return (
         lb
         + consts.c0 * float(coupling @ coupling)
-        + (1.0 / rho) * (32.0 / denom + consts.eta / 2.0) * upsilon
-        + (16.0 / denom) * grad_err_sq_prev
+        + consts.c_upsilon * upsilon
+        + consts.c_err * grad_err_sq_prev
         + consts.c3 * float(dx @ dx)
     )

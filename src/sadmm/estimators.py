@@ -31,6 +31,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .diagnostics import _square
 from .exceptions import NoCertifiedConstantsError, ParameterError, ShapeError, _check_count
 from .rng import DOMAIN_BATCH, Substreams
 
@@ -55,7 +56,7 @@ class EstimatorSpec:
     ``batch_size`` is ignored by the full backend. ``epoch_len`` applies
     to SVRG only (defaults to ceil(n / batch_size) at initialization);
     ``restart_p`` applies to SARAH only and is the inverse restart
-    probability, required to be greater than 1.
+    probability, required to be finite and greater than 1.
     """
 
     kind: str
@@ -74,6 +75,8 @@ class EstimatorSpec:
         if self.kind == "sarah":
             if self.restart_p is None or not self.restart_p > 1:
                 raise ParameterError("sarah requires restart_p > 1")
+            if self.restart_p == math.inf:
+                raise ParameterError("restart_p must be finite, got inf")
 
 
 class VarianceConstants(NamedTuple):
@@ -357,11 +360,11 @@ def theoretical_constants(spec, L, n):
     lip = L.L
     if spec.kind == "saga":
         b = spec.batch_size
-        v_up = math.inf if b * n == 1 else n * lip**2 / (b * n - 1)
+        v_up = math.inf if b * n == 1 else n * _square(lip) / (b * n - 1)
         return VarianceConstants(0.0, 0.0, v_up, b / n)
     if spec.kind == "sarah":
         b = spec.batch_size
-        return VarianceConstants(0.0, lip / math.sqrt(b), lip**2 / b, 1.0 / spec.restart_p)
+        return VarianceConstants(0.0, lip / math.sqrt(b), _square(lip) / b, 1.0 / spec.restart_p)
     raise NoCertifiedConstantsError(
         f"estimator kind {spec.kind!r} has no certified constants"
     )

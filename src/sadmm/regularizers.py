@@ -16,7 +16,13 @@ __all__ = ["Regularizer", "L1", "L0"]
 
 
 class Regularizer:
-    """Base class for coordinate-separable penalties."""
+    """Base class for coordinate-separable penalties with weight ``lam`` >= 0."""
+
+    def __init__(self, lam):
+        lam = float(lam)
+        if not lam >= 0:
+            raise ParameterError(f"lam must be nonnegative, got {lam}")
+        self.lam = lam
 
     def value(self, z):
         raise NotImplementedError
@@ -39,12 +45,6 @@ class L1(Regularizer):
     the identity.
     """
 
-    def __init__(self, lam):
-        lam = float(lam)
-        if not lam >= 0:
-            raise ParameterError(f"lam must be nonnegative, got {lam}")
-        self.lam = lam
-
     def value(self, z):
         z = np.asarray(z, dtype=float)
         return float(self.lam * np.add.reduce(np.abs(z)))
@@ -63,12 +63,6 @@ class L0(Regularizer):
     v_i^2 == 2 lam / beta maps to zero, which favors sparsity and keeps the
     selection deterministic among the two minimizers.
     """
-
-    def __init__(self, lam):
-        lam = float(lam)
-        if not lam >= 0:
-            raise ParameterError(f"lam must be nonnegative, got {lam}")
-        self.lam = lam
 
     def value(self, z):
         z = np.asarray(z, dtype=float)

@@ -24,8 +24,11 @@ import numpy as np
 
 from .diagnostics import (
     DiagnosticsRecord,
+    StabilityConstants,
     _augmented_lagrangian,
     _psi,
+    _quot,
+    _square,
     stability_constants,
 )
 from .estimators import (
@@ -129,20 +132,16 @@ class RunResult:
     state: SolverState
 
 
-@dataclass
-class _DiagContext:
-    consts: object  # StabilityConstants or None when psi is undefined
-    rho: Optional[float]  # None when consts is None
-
-
-def step(state, problem, config, estimator, diag_ctx=None):
+def step(state, problem, config, estimator, report=None):
     """Advance one iteration; returns (new_state, record).
 
     Runs the z, x and u updates of the module docstring. The state holds
     float arrays of the shapes ``run`` builds; they are not checked again
     here. A is applied once, to x_{t+1}. The estimator is updated in place.
-    When ``diag_ctx`` is given the record carries a DiagnosticsRecord
-    computed for the new state (cost O(n * dim)).
+    When ``report`` (the run's ParamReport from ``validate_params``) is
+    given the record carries a DiagnosticsRecord computed for the new state
+    (cost O(n * dim)); psi is weighted by ``report.stability``, and is None
+    when that is None.
     """
     op, reg, loss = problem.op, problem.reg, problem.loss
     beta, tau, sigma = config.beta, config.tau, config.sigma
@@ -159,7 +158,7 @@ def step(state, problem, config, estimator, diag_ctx=None):
         ax=ax_next,
     )
     residual = math.sqrt(resid_vec.dot(resid_vec))
-    if diag_ctx is not None:
+    if report is not None:
         # Before x_{t+1} is scored, while the loss's memo still holds x_t:
         # the estimator error and SARAH's bounding sequence both take the
         # exact gradient there.
@@ -168,12 +167,11 @@ def step(state, problem, config, estimator, diag_ctx=None):
         upsilon, gamma = estimator.upsilon_gamma(x_next)
     objective = loss.full_value(x_next) + reg.value(z_next)
     diag = None
-    if diag_ctx is not None:
+    if report is not None:
         aug = _augmented_lagrangian(objective, u_next, resid_vec, beta)
         psi = None
-        if diag_ctx.consts is not None:
-            psi = _psi(aug, op, new_state, diag_ctx.consts, upsilon, grad_err_sq_prev,
-                       beta, sigma, diag_ctx.rho)
+        if report.stability is not None:
+            psi = _psi(aug, op, new_state, config, report.stability, upsilon, grad_err_sq_prev)
         diag = DiagnosticsRecord(aug, psi, residual, upsilon, gamma, grad_err_sq_prev)
     wall_ms = (time.perf_counter() - t0) * 1000.0
     record = IterationRecord(
@@ -193,32 +191,7 @@ def _variance_constants(spec, L, n):
         return theoretical_constants(spec, L, n), True
     except NoCertifiedConstantsError:
         b = n if spec.kind == "full" else spec.batch_size
-        return VarianceConstants(0.0, 0.0, L.L**2, b / n), False
-
-
-def _make_diag_context(problem, config, spectral=None):
-    if spectral is None:
-        try:
-            spectral = estimate_spectral(problem.op, seed=config.seed)
-        except SpectralEstimationError as exc:
-            spectral = exc.best
-    if spectral is None or not spectral.lambda_min_aat > 0:
-        return _DiagContext(consts=None, rho=None)
-    report = validate_params(problem, config, spectral, problem.loss.lipschitz_bound())
-    vc = report.constants
-    consts = stability_constants(
-        config.sigma,
-        config.beta,
-        config.tau,
-        report.lipschitz,
-        spectral.lambda_min_aat,
-        report.eta_used,
-        report.c2_used,
-        vc.v1,
-        vc.v_upsilon,
-        vc.rho,
-    )
-    return _DiagContext(consts=consts, rho=vc.rho)
+        return VarianceConstants(0.0, 0.0, _square(L.L), b / n), False
 
 
 def run(problem, config, x0=None, spectral=None):
@@ -231,8 +204,9 @@ def run(problem, config, x0=None, spectral=None):
     default 0 and an infinite tolerance both exhaust the budget. The
     reported iterate follows ``output_rule``: the last state, or one drawn
     uniformly from the trace. ``spectral`` (SpectralEstimates) is used by
-    the diagnostics when ``diag_every > 0``; when omitted it is estimated
-    here with ``config.seed``. A non-finite x, z, u or recorded objective
+    the diagnostics when ``diag_every > 0``, whose steps read psi's weights
+    from its ``validate_params`` report; when omitted it is estimated here
+    with ``config.seed``. A non-finite x, z, u or recorded objective
     raises DivergenceError naming it. The loss's memo is dropped when the
     run returns or raises.
     """
@@ -271,16 +245,21 @@ def _iterate(problem, config, x0, spectral):
         t=0,
         ax=ax0,
     )
-    diag_ctx = (
-        _make_diag_context(problem, config, spectral) if config.diag_every > 0 else None
-    )
+    report = None  # the diagnosed steps read psi's weights from it
+    if config.diag_every > 0:
+        if spectral is None:
+            try:
+                spectral = estimate_spectral(op, seed=config.seed)
+            except SpectralEstimationError as exc:
+                spectral = exc.best
+        report = validate_params(problem, config, spectral, loss.lipschitz_bound())
     keep_iterates = config.output_rule == "uniform_random"
     trace = []
     iterates = []
     for _ in range(total_iters):
-        sampled = diag_ctx is not None and state.t % config.diag_every == 0
+        sampled = report is not None and state.t % config.diag_every == 0
         new_state, record = step(
-            state, problem, config, estimator, diag_ctx if sampled else None
+            state, problem, config, estimator, report if sampled else None
         )
         name = _non_finite(new_state.x, new_state.z, new_state.u)
         if name:
@@ -317,17 +296,18 @@ def descent_coefficient(
     """The coefficient multiplying ||x_{t+1} - x_t||^2 in the descent test.
 
     Positive values certify that the stability function decreases in
-    expectation. Requires lambda_m > 0.
+    expectation. Requires lambda_m > 0. A square that overflows, or a
+    division by a product that underflows to 0, reads as inf.
     """
     denom = sigma * beta * lambda_m
     v = v1 + v_upsilon / rho
     return (
         tau
         - (L + beta * op_norm_sq) / 2.0
-        - 4.0 * sigma * tau**2 / (beta * lambda_m)
-        - 8.0 * (sigma * tau + L) ** 2 / denom
+        - _quot(4.0 * sigma * _square(tau), beta * lambda_m)
+        - _quot(8.0 * _square(sigma * tau + L), denom)
         - 1.0 / (2.0 * eta)
-        - (64.0 / denom + eta) * v
+        - (_quot(64.0, denom) + eta) * v
         - c2
     )
 
@@ -338,7 +318,9 @@ class ParamReport:
 
     ``checks`` is a list of (name, status, detail) with status one of
     "pass", "warn", "fail". ``eta_tilde`` is NaN when lambda_min(AA^T) = 0
-    leaves the descent coefficient undefined.
+    leaves the descent coefficient undefined. ``stability`` holds the
+    weights of the stability function psi at ``eta_used`` and ``c2_used``,
+    and is None unless lambda_min(AA^T) > 0.
     """
 
     eta_tilde: float
@@ -351,6 +333,7 @@ class ParamReport:
     op_norm_sq: float
     lambda_min_aat: float
     kappa: float
+    stability: Optional[StabilityConstants]
 
     def all_pass(self):
         return all(status == "pass" for _, status, _ in self.checks)
@@ -360,7 +343,9 @@ def validate_params(problem, config, spectral, L):
     """Evaluate the feasibility checks and the descent coefficient.
 
     The free constant eta is chosen by maximizing the descent coefficient
-    over ETA_GRID, and c2 is pinned to 1e-6 * tau. Reports, never raises.
+    over ETA_GRID, and c2 is pinned to 1e-6 * tau; when no eta gives a
+    finite value, the last one is reported with its value and the check
+    fails. Reports, never raises.
     """
     beta, tau, sigma = config.beta, config.tau, config.sigma
     vc, certified = _variance_constants(config.estimator, L, problem.loss.n)
@@ -402,36 +387,23 @@ def validate_params(problem, config, spectral, L):
         best_eta, best_val = None, -math.inf
         for eta in ETA_GRID:
             val = descent_coefficient(
-                tau,
-                beta,
-                sigma,
-                spectral.op_norm_sq,
-                lam,
-                L.L,
-                eta,
-                c2,
-                vc.v1,
-                vc.v_upsilon,
-                vc.rho,
+                tau, beta, sigma, spectral.op_norm_sq, lam, L.L, eta, c2, vc.v1, vc.v_upsilon, vc.rho
             )
             if val > best_val:
                 best_eta, best_val = eta, val
-        eta_used, eta_tilde = best_eta, best_val
-        checks.append(
-            (
-                "eta_tilde_positive",
-                "pass" if eta_tilde > 0 else "fail",
-                f"eta_tilde = {eta_tilde:g} at eta = {eta_used:g}",
-            )
+        eta_used, eta_tilde = (eta, val) if best_eta is None else (best_eta, best_val)
+        checks.append((
+            "eta_tilde_positive",
+            "pass" if eta_tilde > 0 else "fail",
+            f"eta_tilde = {eta_tilde:g} at eta = {eta_used:g}",
+        ))
+        stability = stability_constants(
+            sigma, beta, tau, L.L, lam, eta_used, c2, vc.v1, vc.v_upsilon, vc.rho
         )
     else:
-        eta_used, eta_tilde = 1.0, float("nan")
+        eta_used, eta_tilde, stability = 1.0, float("nan"), None
         checks.append(
-            (
-                "eta_tilde_positive",
-                "warn",
-                "undefined (division by lambda_min(AA^T) = 0)",
-            )
+            ("eta_tilde_positive", "warn", "undefined (division by lambda_min(AA^T) = 0)")
         )
 
     checks.append(
@@ -455,4 +427,5 @@ def validate_params(problem, config, spectral, L):
         op_norm_sq=spectral.op_norm_sq,
         lambda_min_aat=lam,
         kappa=spectral.condition_kappa,
+        stability=stability,
     )

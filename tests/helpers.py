@@ -46,26 +46,29 @@ def aug_lagrangian_oracle(problem, x, z, u, beta):
     )
 
 
-def psi_oracle(problem, state, consts, upsilon, grad_err, beta, sigma, rho):
+def psi_oracle(problem, state, report, config, upsilon, grad_err):
     """The stability function at the state's (current, lagged) pair, term by term.
 
-    With M = dense(op), lam = lambda_min(AA^T) and q = sigma beta lam:
+    With M = dense(op), sigma, beta and tau from ``config``, lam =
+    lambda_min(AA^T), eta and rho from ``report``, and q = sigma beta lam:
     the augmented Lagrangian, plus 4(1 - sigma)/(sigma q) times the squared
     coupling M^T (u - u_prev) + sigma (tau I - beta M^T M)(x - x_prev), plus
     (1/rho)(32/q + eta/2) upsilon, plus (16/q) grad_err, plus c3 times
-    ||x - x_prev||^2. Only c3 is read from ``consts``.
+    ||x - x_prev||^2. Only c3 is read from ``report.stability``.
     """
+    sigma, beta, tau = config.sigma, config.beta, config.tau
+    eta, rho = report.eta_used, report.constants.rho
     mat = dense(problem.op)
     dx = state.x - state.x_prev
-    gram_b = consts.tau * np.eye(mat.shape[1]) - beta * mat.T @ mat
+    gram_b = tau * np.eye(mat.shape[1]) - beta * mat.T @ mat
     coupling = mat.T @ (state.u - state.u_prev) + sigma * gram_b @ dx
-    q = sigma * beta * consts.lambda_m
+    q = sigma * beta * report.lambda_min_aat
     return (
         aug_lagrangian_oracle(problem, state.x, state.z, state.u, beta)
         + (4.0 * (1.0 - sigma) / (sigma * q)) * float(coupling @ coupling)
-        + (1.0 / rho) * (32.0 / q + consts.eta / 2.0) * upsilon
+        + (1.0 / rho) * (32.0 / q + eta / 2.0) * upsilon
         + (16.0 / q) * grad_err
-        + consts.c3 * float(dx @ dx)
+        + report.stability.c3 * float(dx @ dx)
     )
 
 

@@ -205,6 +205,13 @@ def test_exit_code_table(tmp_path, capsys):
     assert main(["solve", bad_cfg]) == 1
     assert "frobnicate" in capsys.readouterr().err
 
+    # 1: a batch larger than the data set, found after the report
+    big = BASE_SYNTH.format(trace=tmp_path / "big.csv").replace("batch_size = 3", "batch_size = 50")
+    assert main(["solve", write_config(tmp_path / "big.ini", big)]) == 1
+    err = capsys.readouterr().err
+    assert "error: batch_size 50 exceeds component count 12" in err
+    assert "Traceback" not in err
+
     # 2: divergence
     div = BASE_SYNTH.format(trace=tmp_path / "d.csv").replace(
         "tau = 4.0", "tau = 0.0001"
@@ -217,6 +224,29 @@ def test_exit_code_table(tmp_path, capsys):
         tmp_path / "v.ini", BASE_SYNTH.format(trace=tmp_path / "v.csv")
     )
     assert main(["validate", val_cfg]) == 3
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+@pytest.mark.parametrize(
+    "conditioning, estimator, tau",
+    [
+        ("1e150", "saga", "4.0"),  # L^2 overflows
+        ("1e150", "sgd", "4.0"),  # and so do the uncertified defaults
+        ("1e300", "saga", "4.0"),  # L = inf: no eta gives a finite eta_tilde
+        ("1", "saga", "1e200"),  # tau^2 overflows
+    ],
+)
+def test_extreme_finite_parameters_are_reported(tmp_path, capsys, conditioning, estimator, tau):
+    body = BASE_SYNTH.format(trace=tmp_path / "x.csv").replace(
+        "seed = 3", f"seed = 3\nconditioning = {conditioning}"
+    ).replace("estimator = saga", f"estimator = {estimator}").replace("tau = 4.0", f"tau = {tau}")
+    cfg = write_config(tmp_path / "x.ini", body + "diag_every = 1\n")
+    assert main(["validate", cfg]) == 3
+    assert "check_eta_tilde_positive = fail" in capsys.readouterr().out
+    assert main(["solve", cfg]) in (0, 2)
+    out, err = capsys.readouterr()
+    assert "[FAIL] eta_tilde_positive" in out
+    assert "Traceback" not in err
 
 
 def test_validate_machine_block(tmp_path, capsys):
@@ -726,6 +756,7 @@ def test_every_default_of_every_section(tmp_path, builder, estimator):
         ("batch_size = 3", "batch_size = 0", "[solver] batch_size must be at least 1"),
         ("estimator = saga", "estimator = adam", "[solver] unknown estimator kind 'adam'"),
         ("estimator = saga", "estimator = sarah\nsarah_p = 1", "[solver] sarah requires restart_p > 1"),
+        ("estimator = saga", "estimator = sarah\nsarah_p = inf", "[solver] restart_p must be finite, got inf"),
         ("sigma = 0.9", "sigma = 0.9\noutput_rule = best", "[solver] unknown output_rule 'best'"),
     ],
 )

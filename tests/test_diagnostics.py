@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -10,16 +13,19 @@ from sadmm import (
     Identity,
     L1,
     LeastSquaresComponent,
+    LipschitzBound,
     Problem,
     SolverConfig,
     SolverState,
+    SpectralEstimates,
+    estimate_spectral,
     init_estimator,
     run,
     stability_constants,
     step,
     theoretical_constants,
+    validate_params,
 )
-from sadmm.solver import _DiagContext
 
 
 def toy_problem(seed=0, n=8, d=4, m=None):
@@ -45,18 +51,39 @@ def test_stability_constants_match_defining_formulas():
     assert consts.c0 == pytest.approx(
         4.0 * (1.0 - sigma) / (sigma**2 * beta * lam), rel=1e-15
     )
-    assert consts.c1 == pytest.approx(
-        8.0 * (sigma * tau + L) ** 2 / denom, rel=1e-15
-    )
+    c1 = 8.0 * (sigma * tau + L) ** 2 / denom
     assert consts.c3 == pytest.approx(
-        (32.0 / denom + eta / 2.0) * (v1 + v_up / rho) + c2 + consts.c1, rel=1e-15
+        (32.0 / denom + eta / 2.0) * (v1 + v_up / rho) + c2 + c1, rel=1e-15
     )
-    assert consts.lambda_m == lam and consts.eta == eta and consts.c2 == c2
+    assert consts.c_upsilon == pytest.approx((32.0 / denom + eta / 2.0) / rho, rel=1e-15)
+    assert consts.c_err == pytest.approx(16.0 / denom, rel=1e-15)
+    assert len(dataclasses.fields(consts)) == 4
 
 
 def test_stability_constants_require_positive_lambda():
-    with pytest.raises(DiagnosticUndefinedError):
-        stability_constants(0.4, 1.0, 1.0, 1.0, 0.0, 1.0, 1e-6, 0.0, 1.0, 1.0)
+    for lam in (0.0, -1.0, math.nan):
+        with pytest.raises(DiagnosticUndefinedError):
+            stability_constants(0.4, 1.0, 1.0, 1.0, lam, 1.0, 1e-6, 0.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("kind", ["full", "sgd", "saga", "svrg", "sarah"])
+def test_report_stability_is_stability_constants_at_its_own_eta_and_c2(kind):
+    problem = toy_problem(seed=3)
+    restart_p = 4.0 if kind == "sarah" else None
+    spec = EstimatorSpec(kind, batch_size=2, restart_p=restart_p)
+    config = SolverConfig(beta=1.7, tau=9.0, sigma=0.3, estimator=spec)
+    spectral = estimate_spectral(problem.op)
+    report = validate_params(problem, config, spectral, problem.loss.lipschitz_bound())
+    vc = report.constants
+    expected = stability_constants(
+        config.sigma, config.beta, config.tau, report.lipschitz, report.lambda_min_aat,
+        report.eta_used, report.c2_used, vc.v1, vc.v_upsilon, vc.rho,
+    )
+    assert dataclasses.astuple(report.stability) == dataclasses.astuple(expected)
+    # a singular A A^T leaves psi undefined: no weights
+    tall = toy_problem(seed=3, m=6)
+    report = validate_params(tall, config, estimate_spectral(tall.op), LipschitzBound(1.0))
+    assert report.stability is None
 
 
 def test_augmented_lagrangian_term_by_term_oracle():
@@ -76,11 +103,13 @@ def test_augmented_lagrangian_term_by_term_oracle():
         assert (last.psi is None) == (m is not None)
 
 
-def _diag_step(problem, state, spec, consts, beta, sigma, rho):
-    """One step from a hand-built state with the diagnostics of ``consts``."""
-    config = SolverConfig(beta=beta, tau=consts.tau, sigma=sigma, estimator=spec)
-    est = init_estimator(spec, problem.loss, state.x)
-    return step(state, problem, config, est, _DiagContext(consts, rho))
+def _diag_step(problem, state, config, spectral, L):
+    """One step from a hand-built state, diagnosed with the parameter report
+    of the given spectrum and Lipschitz constant; returns (report, new
+    state, record)."""
+    report = validate_params(problem, config, spectral, LipschitzBound(L))
+    est = init_estimator(config.estimator, problem.loss, state.x)
+    return (report, *step(state, problem, config, est, report))
 
 
 def _kkt_step():
@@ -94,9 +123,8 @@ def _kkt_step():
     problem = Problem(loss=loss, reg=L1(0.25), op=Identity(4))
     u = 0.25 * np.sign(xs)
     state = SolverState(x=xs, z=xs.copy(), u=u, x_prev=xs.copy(), u_prev=u.copy(), t=3)
-    beta, sigma, rho = 2.0, 0.5, 1.0
-    consts = stability_constants(sigma, beta, 4.0, 2.0, 1.0, 1.0, 1e-6, 0.0, 1.0, rho)
-    new_state, rec = _diag_step(problem, state, EstimatorSpec("full"), consts, beta, sigma, rho)
+    config = SolverConfig(beta=2.0, tau=4.0, sigma=0.5)
+    _, new_state, rec = _diag_step(problem, state, config, SpectralEstimates(1.0, 1.0), 2.0)
     assert np.array_equal(new_state.x, xs) and np.array_equal(new_state.z, xs)
     assert np.array_equal(new_state.u, u)
     return problem, new_state, rec.diag
@@ -122,13 +150,12 @@ def test_psi_exact_estimator_keeps_only_lagged_terms():
     x, xp = rng.standard_normal(4), rng.standard_normal(4)
     z = rng.standard_normal(4)
     u, up = rng.standard_normal(4), rng.standard_normal(4)
-    beta, sigma, rho = 1.2, 0.3, 1.0
-    consts = stability_constants(sigma, beta, 5.0, 2.0, 1.0, 2.0, 1e-6, 0.0, 1.0, rho)
+    config = SolverConfig(beta=1.2, tau=5.0, sigma=0.3)
     state = SolverState(x=x, z=z, u=u, x_prev=xp, u_prev=up, t=2)
-    new_state, rec = _diag_step(problem, state, EstimatorSpec("full"), consts, beta, sigma, rho)
+    report, new_state, rec = _diag_step(problem, state, config, SpectralEstimates(1.0, 1.0), 2.0)
     assert rec.diag.upsilon == 0.0 and rec.diag.grad_err_sq_prev == 0.0
     assert rec.diag.psi == pytest.approx(
-        psi_oracle(problem, new_state, consts, 0.0, 0.0, beta, sigma, rho), rel=1e-12
+        psi_oracle(problem, new_state, report, config, 0.0, 0.0), rel=1e-12
     )
 
 
@@ -139,19 +166,17 @@ def test_psi_term_by_term_oracle():
     x, xp = rng.standard_normal(d), rng.standard_normal(d)
     z = rng.standard_normal(m)
     u, up = rng.standard_normal(m), rng.standard_normal(m)
-    beta, sigma, tau, L = 1.9, 0.25, 6.0, 1.4
-    lam = 0.8
-    eta, c2, v1, v_up, rho = 0.5, 1e-7, 0.2, 1.1, 0.4
-    consts = stability_constants(sigma, beta, tau, L, lam, eta, c2, v1, v_up, rho)
-    state = SolverState(x=x, z=z, u=u, x_prev=xp, u_prev=up, t=5)
     spec = EstimatorSpec("sgd", batch_size=3, seed=2)
-    new_state, rec = _diag_step(problem, state, spec, consts, beta, sigma, rho)
+    config = SolverConfig(beta=1.9, tau=6.0, sigma=0.25, estimator=spec)
+    state = SolverState(x=x, z=z, u=u, x_prev=xp, u_prev=up, t=5)
+    # a hand-picked spectrum: psi reads only lambda_min(AA^T) from it
+    spectral = SpectralEstimates(4.0, 0.8)
+    report, new_state, rec = _diag_step(problem, state, config, spectral, 1.4)
     diag = rec.diag
     # all five terms are live
     assert diag.upsilon > 0 and diag.grad_err_sq_prev > 0
     assert diag.psi == pytest.approx(
-        psi_oracle(problem, new_state, consts, diag.upsilon, diag.grad_err_sq_prev,
-                   beta, sigma, rho),
+        psi_oracle(problem, new_state, report, config, diag.upsilon, diag.grad_err_sq_prev),
         rel=1e-10,
     )
 

@@ -125,5 +125,7 @@ def test_parameter_and_shape_errors():
         L1(0.5).prox(np.array([1.0]), 0.0)
     with pytest.raises(ParameterError):
         L0(0.5).prox(np.array([1.0]), -1.0)
-    with pytest.raises(ParameterError):
-        L1(-0.1)
+    for penalty in (L1, L0):
+        for lam in (-0.1, float("nan")):
+            with pytest.raises(ParameterError, match=f"^lam must be nonnegative, got {lam}$"):
+                penalty(lam)

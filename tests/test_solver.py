@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     aug_lagrangian_oracle,
@@ -17,11 +19,13 @@ from sadmm import (
     Identity,
     L1,
     LeastSquaresComponent,
+    LipschitzBound,
     ParameterError,
     Problem,
     ShapeError,
     SolverConfig,
     SolverState,
+    SpectralEstimates,
     build_toy_reconstruction,
     estimate_spectral,
     generate_synthetic_quadratic,
@@ -520,6 +524,34 @@ def test_validator_singular_operator_warns_not_fails():
     assert math.isnan(report.eta_tilde)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    beta=st.floats(1e-300, 1e300),
+    tau=st.floats(1e-300, 1e300),
+    sigma=st.floats(0.0, 1.0, exclude_min=True),
+    lip=st.floats(0.0, math.inf),
+    op_norm_sq=st.floats(),
+    lam=st.floats(),
+    kind=st.sampled_from(["full", "sgd", "saga", "svrg", "sarah"]),
+    n=st.integers(1, 4),
+    batch_size=st.integers(1, 4),
+    restart_p=st.floats(1.0, exclude_min=True, allow_infinity=False),
+)
+def test_validator_reports_on_any_parameters(
+    beta, tau, sigma, lip, op_norm_sq, lam, kind, n, batch_size, restart_p
+):
+    # overflowing squares, underflowing products and an eta grid without a
+    # finite value all end in a report, never in an exception
+    loss = FiniteSumLoss.from_rows("least_squares", np.ones((n, 1)), np.zeros(n))
+    problem = Problem(loss=loss, reg=L1(0.1), op=Identity(1))
+    spec = EstimatorSpec(kind, batch_size, restart_p=restart_p if kind == "sarah" else None)
+    config = SolverConfig(beta=beta, tau=tau, sigma=sigma, estimator=spec)
+    spectral = SpectralEstimates(op_norm_sq, lam)
+    report = validate_params(problem, config, spectral, LipschitzBound(lip))
+    assert (report.stability is None) == (not lam > 0)
+    assert report.eta_tilde > 0 or not report.all_pass()
+
+
 def test_run_with_diagnostics_on_singular_operator_disables_psi():
     rng = np.random.default_rng(16)
     loss = FiniteSumLoss(
@@ -633,10 +665,10 @@ def test_psi_reuses_the_step_augmented_lagrangian(monkeypatch):
     # the A inside B
     assert len(applies) == 3 + 2 * 20
     last = result.trace[-1].diag
-    ctx = sadmm.solver._make_diag_context(problem, config)
+    spectral = estimate_spectral(problem.op, seed=config.seed)
+    report = validate_params(problem, config, spectral, problem.loss.lipschitz_bound())
     assert last.psi == pytest.approx(
-        psi_oracle(problem, result.state, ctx.consts, last.upsilon, last.grad_err_sq_prev,
-                   config.beta, config.sigma, ctx.rho),
+        psi_oracle(problem, result.state, report, config, last.upsilon, last.grad_err_sq_prev),
         rel=1e-10,
     )
 
