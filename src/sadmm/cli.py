@@ -23,6 +23,7 @@ from contextlib import suppress
 import numpy as np
 
 from .config import build_problem, load_run_config
+from .estimators import _check_batch_size
 from .exceptions import (
     ConfigError,
     DataError,
@@ -56,15 +57,19 @@ def _check_out_dir(path):
         raise FileNotFoundError(f"cannot write {path}: no directory {folder}")
 
 
-def _spectral_for(problem, seed):
+def _report(problem, config):
+    """Print the parameter report; returns (spectral estimates, report)."""
     try:
-        return estimate_spectral(problem.op, seed=seed)
+        spectral = estimate_spectral(problem.op, seed=config.seed)
     except SpectralEstimationError as exc:
         print(
             "warning: spectral estimation did not converge; using best iterate",
             file=sys.stderr,
         )
-        return exc.best
+        spectral = exc.best
+    report = validate_params(problem, config, spectral, problem.loss.lipschitz_bound())
+    print(_format_report(report, config))
+    return spectral, report
 
 
 def _format_report(report, config):
@@ -128,19 +133,16 @@ def cmd_solve(config_path):
             raise ConfigError("[output] missing required key 'trace' for solve")
         _check_out_dir(run_config.trace_path)  # the plot-data CSV goes beside it
         problem = build_problem(run_config)
+        _check_batch_size(run_config.solver.estimator, problem.loss.n)
     except _CONFIG_ERRORS as exc:
         return _fail(exc)
     config = run_config.solver
-    spectral = _spectral_for(problem, config.seed)
-    report = validate_params(problem, config, spectral, problem.loss.lipschitz_bound())
-    print(_format_report(report, config))
+    spectral, _ = _report(problem, config)
     try:
         result = run(problem, config, spectral=spectral)
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _CONFIG_ERRORS as exc:  # e.g. a batch larger than the data set
-        return _fail(exc)
     try:
         write_trace(run_config.trace_path, result.trace, with_diagnostics=config.diag_every > 0)
         if run_config.plot_data:
@@ -167,12 +169,10 @@ def cmd_validate(config_path):
     try:
         run_config = load_run_config(config_path)
         problem = build_problem(run_config)
+        _check_batch_size(run_config.solver.estimator, problem.loss.n)
     except _CONFIG_ERRORS as exc:
         return _fail(exc)
-    config = run_config.solver
-    spectral = _spectral_for(problem, config.seed)
-    report = validate_params(problem, config, spectral, problem.loss.lipschitz_bound())
-    print(_format_report(report, config))
+    _, report = _report(problem, run_config.solver)
     print()
     print(_machine_block(report))
     return 0 if report.all_pass() else 3
@@ -181,8 +181,9 @@ def cmd_validate(config_path):
 def _bench_worker(config_path):
     """Run one bench member; returns a row bundle (never raises)."""
     try:
-        run_config = load_run_config(config_path)
-        result = run(build_problem(run_config), run_config.solver)
+        with np.errstate(all="ignore"):  # a pool process has its own numpy state
+            run_config = load_run_config(config_path)
+            result = run(build_problem(run_config), run_config.solver)
         return _run_bundle(run_config, result.trace)
     except Exception as exc:  # noqa: BLE001 - member failures become rows
         return _error_bundle(config_path, str(exc))
@@ -320,11 +321,12 @@ def main(argv=None):
     )
 
     args = parser.parse_args(argv)
-    if args.command == "solve":
-        return cmd_solve(args.config)
-    if args.command == "validate":
-        return cmd_validate(args.config)
-    return cmd_bench(args.config_dir, args.out, summary=args.summary)
+    with np.errstate(all="ignore"):  # overflow ends in a typed error, not a warning
+        if args.command == "solve":
+            return cmd_solve(args.config)
+        if args.command == "validate":
+            return cmd_validate(args.config)
+        return cmd_bench(args.config_dir, args.out, summary=args.summary)
 
 
 if __name__ == "__main__":

@@ -99,8 +99,8 @@ def _psi(lb, op, state, config, consts, upsilon, grad_err_sq_prev):
     and c3 ||dx||^2. sigma, beta and tau are the run's ``config``.
     """
     dx = state.x - state.x_prev
-    coupling = op.adjoint(state.u - state.u_prev) + config.sigma * (
-        config.tau * dx - config.beta * op.adjoint(op.apply(dx))
+    coupling = op._adjoint(state.u - state.u_prev) + config.sigma * (
+        config.tau * dx - config.beta * op._adjoint(op._apply(dx))
     )
     return (
         lb

@@ -343,11 +343,14 @@ def init_estimator(spec, loss, x0):
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (loss.dim,):
         raise ShapeError(f"x0 must have length {loss.dim}, got shape {x0.shape}")
-    if spec.kind != "full" and spec.batch_size > loss.n:
-        raise ParameterError(
-            f"batch_size {spec.batch_size} exceeds component count {loss.n}"
-        )
+    _check_batch_size(spec, loss.n)
     return _BACKENDS[spec.kind](spec, loss, x0)
+
+
+def _check_batch_size(spec, n):
+    """Raise ParameterError when a sampling backend's batch exceeds n."""
+    if spec.kind != "full" and spec.batch_size > n:
+        raise ParameterError(f"batch_size {spec.batch_size} exceeds component count {n}")
 
 
 def theoretical_constants(spec, L, n):

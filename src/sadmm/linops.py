@@ -1,15 +1,15 @@
 """Linear operators and spectral estimation.
 
-The solver only ever touches an operator through ``apply`` (x -> Ax) and
-``adjoint`` (y -> A^T y); the concrete classes below cover dense matrices,
-forward finite differences on an image, the identity, and vertical
-stacking. ``estimate_spectral`` produces the two spectral quantities the
-step-size analysis needs: the squared operator norm
-(largest eigenvalue of A^T A), from a seeded Lanczos iteration, and the
-smallest eigenvalue of A A^T, which is exactly 0 whenever out_dim > in_dim
-(rank rule) and otherwise comes from the same Lanczos iteration on a
-shifted map. Both use ``apply`` and ``adjoint`` alone; no operator is
-materialized.
+An operator is a map x -> Ax with its adjoint y -> A^T y. Subclasses
+implement the unchecked cores ``_apply`` and ``_adjoint``; the base
+class's ``apply`` and ``adjoint`` check the input and call them, and the
+package's own callers, which build their vectors themselves, call the
+cores. The classes below cover dense matrices, forward finite differences
+on an image, the identity, and vertical stacking. ``estimate_spectral``
+gives the squared operator norm (largest eigenvalue of A^T A), from a
+seeded Lanczos iteration, and the smallest eigenvalue of A A^T, which is
+exactly 0 whenever out_dim > in_dim (rank rule) and otherwise comes from
+the same Lanczos iteration on a shifted map; no operator is materialized.
 """
 
 import numpy as np
@@ -38,17 +38,24 @@ def _check_len(v, expected, name):
 class LinearOperator:
     """Base class: a linear map R^in_dim -> R^out_dim with an adjoint.
 
-    Instances are immutable after construction; ``apply`` and ``adjoint``
-    are pure and safe to call concurrently.
+    Subclasses implement ``_apply`` and ``_adjoint`` without checks and
+    leave ``apply`` and ``adjoint``, which raise ShapeError on a bad input,
+    alone. Instances are immutable; both maps are pure and thread-safe.
     """
 
     in_dim = 0
     out_dim = 0
 
     def apply(self, x):
-        raise NotImplementedError
+        return self._apply(_check_len(x, self.in_dim, "x"))
 
     def adjoint(self, y):
+        return self._adjoint(_check_len(y, self.out_dim, "y"))
+
+    def _apply(self, x):
+        raise NotImplementedError
+
+    def _adjoint(self, y):
         raise NotImplementedError
 
 
@@ -62,12 +69,10 @@ class DenseMatrix(LinearOperator):
         self.matrix = matrix
         self.out_dim, self.in_dim = matrix.shape
 
-    def apply(self, x):
-        x = _check_len(x, self.in_dim, "x")
+    def _apply(self, x):
         return self.matrix @ x
 
-    def adjoint(self, y):
-        y = _check_len(y, self.out_dim, "y")
+    def _adjoint(self, y):
         return self.matrix.T @ y
 
 
@@ -78,11 +83,11 @@ class Identity(LinearOperator):
         _check_count("dim", dim, 1, ShapeError)
         self.in_dim = self.out_dim = int(dim)
 
-    def apply(self, x):
-        return _check_len(x, self.in_dim, "x").copy()
+    def _apply(self, x):
+        return x.copy()
 
-    def adjoint(self, y):
-        return _check_len(y, self.out_dim, "y").copy()
+    def _adjoint(self, y):
+        return y.copy()
 
 
 class FiniteDifference2D(LinearOperator):
@@ -104,15 +109,13 @@ class FiniteDifference2D(LinearOperator):
         self._n_v = (self.height - 1) * self.width
         self.out_dim = self._n_h + self._n_v
 
-    def apply(self, x):
-        x = _check_len(x, self.in_dim, "x")
+    def _apply(self, x):
         img = x.reshape(self.height, self.width)
         horiz = img[:, 1:] - img[:, :-1]
         vert = img[1:, :] - img[:-1, :]
         return np.concatenate([horiz.ravel(), vert.ravel()])
 
-    def adjoint(self, y):
-        y = _check_len(y, self.out_dim, "y")
+    def _adjoint(self, y):
         horiz = y[: self._n_h].reshape(self.height, self.width - 1)
         vert = y[self._n_h :].reshape(self.height - 1, self.width)
         out = np.zeros((self.height, self.width))
@@ -140,16 +143,14 @@ class VerticalStack(LinearOperator):
         self.in_dim = in_dim
         self.out_dim = sum(op.out_dim for op in operators)
 
-    def apply(self, x):
-        x = _check_len(x, self.in_dim, "x")
-        return np.concatenate([op.apply(x) for op in self.operators])
+    def _apply(self, x):
+        return np.concatenate([op._apply(x) for op in self.operators])
 
-    def adjoint(self, y):
-        y = _check_len(y, self.out_dim, "y")
+    def _adjoint(self, y):
         out = np.zeros(self.in_dim)
         offset = 0
         for op in self.operators:
-            out += op.adjoint(y[offset : offset + op.out_dim])
+            out += op._adjoint(y[offset : offset + op.out_dim])
             offset += op.out_dim
         return out
 
@@ -267,7 +268,7 @@ def estimate_spectral(op, tol=1e-10, max_iter=10000, seed=0):
     _check_count("max_iter", max_iter, 1, ShapeError)
 
     def ata(v):
-        return op.adjoint(op.apply(v))
+        return op._adjoint(op._apply(v))
 
     rng = substream(seed, DOMAIN_SPECTRAL, 0)
     op_norm_sq, ok = _lanczos(ata, op.in_dim, tol, max_iter, rng)
@@ -283,7 +284,7 @@ def estimate_spectral(op, tol=1e-10, max_iter=10000, seed=0):
         return SpectralEstimates(op_norm_sq, 0.0)
 
     def shifted(v):
-        return op_norm_sq * v - op.apply(op.adjoint(v))
+        return op_norm_sq * v - op._apply(op._adjoint(v))
 
     rng = substream(seed, DOMAIN_SPECTRAL, 1)
     mu, ok = _lanczos(shifted, op.out_dim, tol, max_iter, rng)

@@ -16,7 +16,8 @@ __all__ = ["Regularizer", "L1", "L0"]
 
 
 class Regularizer:
-    """Base class for coordinate-separable penalties with weight ``lam`` >= 0."""
+    """Base class for coordinate-separable penalties with weight ``lam`` >= 0;
+    subclasses implement ``value`` and the unchecked ``_prox`` that ``prox`` calls."""
 
     def __init__(self, lam):
         lam = float(lam)
@@ -28,14 +29,13 @@ class Regularizer:
         raise NotImplementedError
 
     def prox(self, v, beta):
-        raise NotImplementedError
-
-    @staticmethod
-    def _check_beta(beta):
         beta = float(beta)
-        if beta <= 0:
+        if not beta > 0:
             raise ParameterError(f"beta must be positive, got {beta}")
-        return beta
+        return self._prox(np.asarray(v, dtype=float), beta)
+
+    def _prox(self, v, beta):
+        raise NotImplementedError
 
 
 class L1(Regularizer):
@@ -49,9 +49,7 @@ class L1(Regularizer):
         z = np.asarray(z, dtype=float)
         return float(self.lam * np.add.reduce(np.abs(z)))
 
-    def prox(self, v, beta):
-        beta = self._check_beta(beta)
-        v = np.asarray(v, dtype=float)
+    def _prox(self, v, beta):
         t = self.lam / beta
         return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
@@ -68,8 +66,6 @@ class L0(Regularizer):
         z = np.asarray(z, dtype=float)
         return float(self.lam * np.count_nonzero(z))
 
-    def prox(self, v, beta):
-        beta = self._check_beta(beta)
-        v = np.asarray(v, dtype=float)
+    def _prox(self, v, beta):
         keep = v * v > 2.0 * self.lam / beta
         return np.where(keep, v, 0.0)

@@ -41,7 +41,6 @@ from .exceptions import (
     DivergenceError,
     NoCertifiedConstantsError,
     ParameterError,
-    ShapeError,
     SpectralEstimationError,
     _check_count,
 )
@@ -135,22 +134,22 @@ class RunResult:
 def step(state, problem, config, estimator, report=None):
     """Advance one iteration; returns (new_state, record).
 
-    Runs the z, x and u updates of the module docstring. The state holds
-    float arrays of the shapes ``run`` builds; they are not checked again
-    here. A is applied once, to x_{t+1}. The estimator is updated in place.
-    When ``report`` (the run's ParamReport from ``validate_params``) is
-    given the record carries a DiagnosticsRecord computed for the new state
-    (cost O(n * dim)); psi is weighted by ``report.stability``, and is None
-    when that is None.
+    Runs the z, x and u updates of the module docstring through the
+    unchecked cores ``_apply``, ``_adjoint`` and ``_prox``: the state holds
+    float arrays of the shapes ``run`` builds. A is applied once, to
+    x_{t+1}. The estimator is updated in place. When ``report`` (the run's
+    ParamReport from ``validate_params``) is given the record carries a
+    DiagnosticsRecord computed for the new state (cost O(n * dim)); psi is
+    weighted by ``report.stability``, and is None when that is None.
     """
     op, reg, loss = problem.op, problem.reg, problem.loss
     beta, tau, sigma = config.beta, config.tau, config.sigma
     t0 = time.perf_counter()
-    ax = op.apply(state.x) if state.ax is None else state.ax
-    z_next = reg.prox(ax + state.u / beta, beta)
+    ax = op._apply(state.x) if state.ax is None else state.ax
+    z_next = reg._prox(ax + state.u / beta, beta)
     g = estimator.estimate(state.x)
-    x_next = state.x - (g + op.adjoint(state.u + beta * (ax - z_next))) / tau
-    ax_next = op.apply(x_next)
+    x_next = state.x - (g + op._adjoint(state.u + beta * (ax - z_next))) / tau
+    ax_next = op._apply(x_next)
     resid_vec = ax_next - z_next
     u_next = state.u + sigma * beta * resid_vec
     new_state = SolverState(
@@ -213,9 +212,7 @@ def run(problem, config, x0=None, spectral=None):
     loss = problem.loss
     if x0 is None:
         x0 = np.zeros(loss.dim)
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (loss.dim,):
-        raise ShapeError(f"x0 must have length {loss.dim}, got shape {x0.shape}")
+    x0 = np.asarray(x0, dtype=float)  # init_estimator checks its shape
     try:
         return _iterate(problem, config, x0, spectral)
     finally:

@@ -205,12 +205,14 @@ def test_exit_code_table(tmp_path, capsys):
     assert main(["solve", bad_cfg]) == 1
     assert "frobnicate" in capsys.readouterr().err
 
-    # 1: a batch larger than the data set, found after the report
+    # 1: a batch larger than the data set, in both commands
     big = BASE_SYNTH.format(trace=tmp_path / "big.csv").replace("batch_size = 3", "batch_size = 50")
-    assert main(["solve", write_config(tmp_path / "big.ini", big)]) == 1
-    err = capsys.readouterr().err
-    assert "error: batch_size 50 exceeds component count 12" in err
-    assert "Traceback" not in err
+    big_cfg = write_config(tmp_path / "big.ini", big)
+    for command in ("solve", "validate"):
+        assert main([command, big_cfg]) == 1
+        err = capsys.readouterr().err
+        assert "error: batch_size 50 exceeds component count 12" in err
+        assert "Traceback" not in err
 
     # 2: divergence
     div = BASE_SYNTH.format(trace=tmp_path / "d.csv").replace(
@@ -226,7 +228,7 @@ def test_exit_code_table(tmp_path, capsys):
     assert main(["validate", val_cfg]) == 3
 
 
-@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "conditioning, estimator, tau",
     [

@@ -20,3 +20,19 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(f"sadmm.{name}")
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert missing == []
+
+
+@pytest.mark.parametrize("name, base, public", [
+    ("linops", "LinearOperator", {"apply", "adjoint"}),
+    ("regularizers", "Regularizer", {"prox"}),
+])
+def test_only_the_base_class_defines_the_checked_entries(name, base, public):
+    # a subclass implements the unchecked cores; redefining a public entry
+    # would add a second place where inputs are checked, or none
+    module = importlib.import_module(f"sadmm.{name}")
+    classes = [c for c in vars(module).values()
+               if isinstance(c, type) and c.__module__ == module.__name__]
+    assert base in {c.__name__ for c in classes}
+    offenders = [(c.__name__, m) for c in classes if c.__name__ != base
+                 for m in sorted(public & set(vars(c)))]
+    assert offenders == []

@@ -238,16 +238,30 @@ class RowDifferences(LinearOperator):
         self.in_dim = rows * cols
         self.out_dim = (rows - 1) * cols
 
-    def apply(self, x):
-        img = np.asarray(x, dtype=float).reshape(self.rows, self.cols)
+    def _apply(self, x):
+        img = x.reshape(self.rows, self.cols)
         return (img[1:] - img[:-1]).ravel()
 
-    def adjoint(self, y):
-        diff = np.asarray(y, dtype=float).reshape(self.rows - 1, self.cols)
+    def _adjoint(self, y):
+        diff = y.reshape(self.rows - 1, self.cols)
         out = np.zeros((self.rows, self.cols))
         out[1:] += diff
         out[:-1] -= diff
         return out.ravel()
+
+
+@pytest.mark.parametrize("index", range(7))
+def test_public_maps_check_and_coerce_their_input(index):
+    # apply and adjoint are the base class's; a subclass implements only the
+    # unchecked cores
+    rng = np.random.default_rng(12)
+    op = (operator_zoo(rng) + [RowDifferences(3, 4)])[index]
+    for method, dim in ((op.apply, op.in_dim), (op.adjoint, op.out_dim)):
+        for bad in (np.ones(dim + 1), np.ones(dim - 1), np.ones((1, dim)), np.ones((dim, 1))):
+            with pytest.raises(ShapeError):
+                method(bad)
+        v = rng.standard_normal(dim)
+        assert method(list(v)).tobytes() == method(v).tobytes()
 
 
 def test_spectral_shifted_branch_matches_closed_form():

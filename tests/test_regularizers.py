@@ -126,6 +126,9 @@ def test_parameter_and_shape_errors():
     with pytest.raises(ParameterError):
         L0(0.5).prox(np.array([1.0]), -1.0)
     for penalty in (L1, L0):
+        with pytest.raises(ParameterError, match="^beta must be positive, got nan$"):
+            penalty(0.1).prox([1.0, -2.0], float("nan"))
+    for penalty in (L1, L0):
         for lam in (-0.1, float("nan")):
             with pytest.raises(ParameterError, match=f"^lam must be nonnegative, got {lam}$"):
                 penalty(lam)

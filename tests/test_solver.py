@@ -26,6 +26,7 @@ from sadmm import (
     SolverConfig,
     SolverState,
     SpectralEstimates,
+    VerticalStack,
     build_toy_reconstruction,
     estimate_spectral,
     generate_synthetic_quadratic,
@@ -603,8 +604,8 @@ def test_full_run_takes_one_all_rows_pass_per_iteration(monkeypatch):
 
 def test_run_applies_the_operator_once_per_step(monkeypatch):
     problem, _ = build_toy_reconstruction(8, 8, seed=1)
-    applies = _count_calls(monkeypatch, problem.op, "apply")
-    adjoints = _count_calls(monkeypatch, problem.op, "adjoint")
+    applies = _count_calls(monkeypatch, problem.op, "_apply")
+    adjoints = _count_calls(monkeypatch, problem.op, "_adjoint")
     config = SolverConfig(
         beta=0.1, tau=0.65, sigma=0.95,
         estimator=EstimatorSpec("saga", batch_size=8, seed=2),
@@ -651,7 +652,7 @@ def test_psi_reuses_the_step_augmented_lagrangian(monkeypatch):
 
     problem = generate_synthetic_quadratic(200, 20, seed=3)
     in_step = _count_calls(monkeypatch, sadmm.solver, "_augmented_lagrangian")
-    applies = _count_calls(monkeypatch, problem.op, "apply")
+    applies = _count_calls(monkeypatch, problem.op, "_apply")
     spec = EstimatorSpec("saga", batch_size=10, seed=4)
     config = SolverConfig(
         beta=1.0, tau=3.0, sigma=0.95, estimator=spec, max_epochs=1,
@@ -671,6 +672,38 @@ def test_psi_reuses_the_step_augmented_lagrangian(monkeypatch):
         psi_oracle(problem, result.state, report, config, last.upsilon, last.grad_err_sq_prev),
         rel=1e-10,
     )
+
+
+def fused_lasso_problem(n=30, d=5, seed=0):
+    """Sigmoid loss with L1 on [G; I] x, G the differences along a chain."""
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((n, d))
+    labels = np.where(rng.random(n) > 0.5, 1.0, -1.0)
+    loss = FiniteSumLoss.from_rows("sigmoid", rows, labels)
+    op = VerticalStack([DenseMatrix(np.diff(np.eye(d), axis=0)), Identity(d)])
+    return Problem(loss=loss, reg=L1(0.01), op=op, name="fused")
+
+
+@pytest.mark.parametrize("diag_every", [0, 1])
+@pytest.mark.parametrize("epochs", [1, 3])
+@pytest.mark.parametrize("make", [
+    fused_lasso_problem,
+    lambda: build_toy_reconstruction(8, 8, seed=1)[0],
+    small_problem,
+], ids=["fused_lasso", "blur", "quadratic"])
+def test_run_checks_operator_lengths_once(monkeypatch, make, epochs, diag_every):
+    # the one check is A x0's; steps, psi and Lanczos call the unchecked cores
+    import sadmm.linops
+
+    problem = make()
+    checks = _count_calls(monkeypatch, sadmm.linops, "_check_len")
+    config = SolverConfig(
+        beta=1.0, tau=8.0, sigma=0.95, estimator=EstimatorSpec("saga", batch_size=5, seed=2),
+        max_epochs=epochs, residual_tol=math.inf, diag_every=diag_every,
+    )
+    result = run(problem, config)
+    assert len(result.trace) == epochs * math.ceil(problem.loss.n / 5)
+    assert len(checks) == 1
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
