@@ -12,8 +12,8 @@ coefficients, not gradient tables: SAGA stores n scalars, SVRG the n
 coefficients at its anchor, SGD and SARAH none. An estimate sums the
 gathered batch rows by column over their stored entries (``diff_sum``
 subtracts c_x[i] a_ij - c_y[i] a_ij, never (c_x[i] - c_y[i]) a_ij), so
-it has the bytes of the table formula. An estimate checks the caller's x,
-not its own draws and points, and gathers its batch once, SARAH's too.
+it has the bytes of the table formula. ``estimate`` and ``init_estimator``
+check x; the rest calls the loss's unchecked cores. A batch is gathered once.
 
 Each estimator owns a counter-based random stream keyed by
 (seed, iteration), so replaying a run with the same seed reproduces the
@@ -32,7 +32,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .diagnostics import _square
-from .exceptions import NoCertifiedConstantsError, ParameterError, ShapeError, _check_count
+from .exceptions import NoCertifiedConstantsError, ParameterError, _check_count
 from .rng import DOMAIN_BATCH, Substreams
 
 __all__ = [
@@ -165,8 +165,9 @@ class SgdEstimator(GradientEstimator):
         # the full gradient in the same normalization the certified
         # backends use, from the n x d table: ||c_i a_i - g||^2 has no
         # short form free of cancellation.
-        diffs = self.loss.component_gradients(x)
-        diffs -= self.loss.full_gradient(x)
+        rows, c = self.loss._all_coefficients(x)
+        diffs = rows.scaled(c)
+        diffs -= self.loss._full_gradient(x)
         return self._scatter(np.add.reduce(np.multiply(diffs, diffs, out=diffs), axis=1))
 
 
@@ -182,7 +183,7 @@ class SagaEstimator(GradientEstimator):
 
     def __init__(self, spec, loss, x0):
         super().__init__(spec, loss, x0)
-        self._rows, self.alpha = loss.component_coefficients(x0)
+        self._rows, self.alpha = loss._all_coefficients(x0)
         self._table = None
         self.phi_mean = self._mean()
         self.evals += self.n
@@ -235,11 +236,11 @@ class SagaEstimator(GradientEstimator):
 
     def upsilon_gamma(self, x):
         if self._table is not None:
-            diffs = self.loss.component_gradients(x) - self._table
+            diffs = self._rows.scaled(self.loss._all_coefficients(x)[1]) - self._table
             return self._scatter(np.add.reduce(diffs * diffs, axis=1))
         # ||c_i a_i - alpha_i a_i||^2 = (c_i - alpha_i)^2 ||a_i||^2, O(n) after
         # the all-rows pass, which the solver's next score reuses
-        dc = self.loss.component_coefficients(x)[1] - self.alpha
+        dc = self.loss._all_coefficients(x)[1] - self.alpha
         return self._scatter(dc * dc * self._rows.sq_norms)
 
 
@@ -255,8 +256,8 @@ class SvrgEstimator(GradientEstimator):
 
     def _anchor(self, x):
         self.anchor_x = np.array(x, dtype=float)
-        self.anchor_full_grad = self.loss.full_gradient(self.anchor_x)
-        _, self.anchor_coef = self.loss.component_coefficients(self.anchor_x)
+        self.anchor_full_grad = self.loss._full_gradient(self.anchor_x)
+        _, self.anchor_coef = self.loss._all_coefficients(self.anchor_x)
         self.steps_since_anchor = 0
 
     def _combine(self, x, idx):
@@ -278,7 +279,7 @@ class SvrgEstimator(GradientEstimator):
     def upsilon_gamma(self, x):
         # Uncertified analogue of SAGA's formula with every memory slot at
         # the anchor.
-        rows, c = self.loss.component_coefficients(x)
+        rows, c = self.loss._all_coefficients(x)
         dc = c - self.anchor_coef
         return self._scatter(dc * dc * rows.sq_norms)
 
@@ -295,7 +296,7 @@ class SarahEstimator(GradientEstimator):
     def __init__(self, spec, loss, x0):
         super().__init__(spec, loss, x0)
         self.prev_x = np.array(x0, dtype=float)
-        self.prev_estimate = loss.full_gradient(self.prev_x)
+        self.prev_estimate = loss._full_gradient(self.prev_x)
         self.evals += self.n
 
     def _recursion(self, x, idx):
@@ -309,7 +310,7 @@ class SarahEstimator(GradientEstimator):
         else:
             rng = self._stream(self.t)
             if rng.random() < 1.0 / self.spec.restart_p:
-                g = self.loss.full_gradient(x)
+                g = self.loss._full_gradient(x)
                 self.evals += self.n
             else:
                 idx = self._draw_batch(rng)
@@ -323,7 +324,7 @@ class SarahEstimator(GradientEstimator):
     def upsilon_gamma(self, x):
         # The bounding sequence is the exact error of the latest emission;
         # the query point is not used.
-        err = self.prev_estimate - self.loss.full_gradient(self.prev_x)
+        err = self.prev_estimate - self.loss._full_gradient(self.prev_x)
         sq = float(err @ err)
         return sq, math.sqrt(sq)
 
@@ -340,9 +341,7 @@ KINDS = tuple(_BACKENDS)
 
 def init_estimator(spec, loss, x0):
     """Construct the estimator named by ``spec`` bound to ``loss`` at x0."""
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (loss.dim,):
-        raise ShapeError(f"x0 must have length {loss.dim}, got shape {x0.shape}")
+    x0 = loss._check_x(x0)
     _check_batch_size(spec, loss.n)
     return _BACKENDS[spec.kind](spec, loss, x0)
 

@@ -24,12 +24,12 @@ estimators, the solver and the diagnostics never see which.
   the batch is drawn on every iteration.
 
 All evaluations run the kernels ``_link``, ``_values`` and
-``_coefficients`` (the c_i), keyed by kind. ``component_coefficients``
-hands the c_i out with the gathered rows, and the estimators its
-unchecked core ``_batch``, which gathers a batch once for the c_i at one
-or two points. Both storages keep the two bit contracts. Row dots are
-row-consistent, so single-component and block evaluations are
-bit-identical.
+``_coefficients`` (the c_i), keyed by kind. Each public entry checks x
+and the indices once and calls an unchecked core; the solver and the
+estimators call the cores ``_full_value``, ``_full_gradient``,
+``_all_coefficients`` and ``_batch``, which gathers a batch once for the
+c_i at one or two points. Both storages keep the two bit contracts. Row
+dots are row-consistent: single-row and block evaluations are bit-identical.
 ``full_gradient`` is the exact mean of the component gradients, the
 axis-0 reduce of their stack, without an n x d table.
 The two storages of the same rows agree to the last bit only where the
@@ -38,7 +38,7 @@ dense einsum happens to add a row as a sequential sum does.
 A row-store loss keeps a one-entry memo of the last point an all-rows
 pass saw: the link terms of every row there (for sigmoid rows e and the
 sign mask, see ``_link``), and the full value and gradient once computed.
-The solver scores x_{t+1} with ``full_value`` and takes the next full
+The solver scores x_{t+1} with ``_full_value`` and takes the next full
 gradient at that point, which then costs only the column sum. The memo
 is keyed by the bytes of x, so -0.0 and 0.0 differ, an array changed in
 place misses and a point with a NaN is never kept. A hit returns exactly
@@ -342,9 +342,10 @@ class FiniteSumLoss:
         return x
 
     def _check_idx(self, idx):
-        if idx is None:
-            return None  # means "all rows", avoiding a fancy-index copy
-        idx = np.asarray(idx, dtype=int)
+        idx = np.asarray(idx)
+        if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
+            raise ShapeError(f"idx must be 1-D integers, got {idx.dtype} of shape {idx.shape}")
+        idx = idx.astype(int, copy=False)
         if idx.size and (idx.min() < 0 or idx.max() >= self.n):
             raise IndexError(f"component index out of range [0, {self.n})")
         return idx
@@ -377,23 +378,16 @@ class FiniteSumLoss:
         """Release the memo; later results are unchanged."""
         self._memo = None
 
-    def component_values(self, x, idx=None):
-        """Values of the selected components at x, in the order of idx."""
-        x = self._check_x(x)
-        idx = self._check_idx(idx)
-        if idx is not None:
-            rows = self._rows.take(idx)
-            return _values(self._kind, self._terms(x, idx, rows, self._targets[idx]))
-        values = _values(self._kind, self._all_rows(x)[1])  # sigmoid: the memo's own array
-        return values.copy() if self._kind == "sigmoid" else values
-
     def component_coefficients(self, x, idx=None):
-        """The selected rows, gathered as one row store, and their gradient
+        """The rows idx (all when None) as one row store, and their gradient
         coefficients c_i at x, a new array: gradient i is c_i times row i."""
         x = self._check_x(x)
-        idx = self._check_idx(idx)
-        if idx is not None:
-            return self._batch(idx, x)
+        if idx is None:
+            return self._all_coefficients(x)
+        return self._batch(self._check_idx(idx), x)
+
+    def _all_coefficients(self, x):
+        """The row store and the coefficients of all rows at x, unchecked."""
         return self._rows, _coefficients(self._kind, self._all_rows(x)[1], self._targets)
 
     def component_gradients(self, x, idx=None):
@@ -402,26 +396,31 @@ class FiniteSumLoss:
         return rows.scaled(coef)
 
     def component_value(self, i, x):
-        return float(self.component_values(x, np.array([i]))[0])
+        x, idx = self._check_x(x), self._check_idx([i])
+        terms = self._terms(x, idx, self._rows.take(idx), self._targets[idx])
+        return float(_values(self._kind, terms)[0])
 
     def component_gradient(self, i, x):
-        return self.component_gradients(x, np.array([i]))[0]
+        return self.component_gradients(x, [i])[0]
 
     def full_value(self, x):
         """(1/n) sum of component values, accumulated in ascending order."""
-        key, terms, value, grad = self._all_rows(self._check_x(x))
+        return self._full_value(self._check_x(x))
+
+    def _full_value(self, x):
+        key, terms, value, grad = self._all_rows(x)
         if value is None:
             value = float(np.add.reduce(_values(self._kind, terms)) / self.n)
             self._memo = (key, terms, value, grad)
         return value
 
     def full_gradient(self, x):
-        """(1/n) sum of component gradients, bit for bit their axis-0 reduce.
+        """(1/n) sum of component gradients, bit for bit their axis-0 reduce:
+        the column mean of c_i * row i, with no n x d table built."""
+        return self._full_gradient(self._check_x(x))
 
-        It is the column mean of c_i * row i, an einsum over dense rows or
-        a bincount over the CSR nonzeros, so no n x d table is built.
-        """
-        key, terms, value, grad = self._all_rows(self._check_x(x))
+    def _full_gradient(self, x):
+        key, terms, value, grad = self._all_rows(x)
         if grad is None:
             grad = self._rows.column_mean(_coefficients(self._kind, terms, self._targets))
             self._memo = (key, terms, value, grad)

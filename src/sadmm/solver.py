@@ -134,13 +134,14 @@ class RunResult:
 def step(state, problem, config, estimator, report=None):
     """Advance one iteration; returns (new_state, record).
 
-    Runs the z, x and u updates of the module docstring through the
-    unchecked cores ``_apply``, ``_adjoint`` and ``_prox``: the state holds
-    float arrays of the shapes ``run`` builds. A is applied once, to
-    x_{t+1}. The estimator is updated in place. When ``report`` (the run's
-    ParamReport from ``validate_params``) is given the record carries a
-    DiagnosticsRecord computed for the new state (cost O(n * dim)); psi is
-    weighted by ``report.stability``, and is None when that is None.
+    Runs the z, x and u updates of the module docstring, on the float
+    arrays ``run`` builds, through the unchecked cores ``_apply``,
+    ``_adjoint``, ``_prox`` and the loss's ``_full_value``; only the estimate
+    checks x. A is applied once, to x_{t+1}. The estimator is updated in
+    place. When ``report`` (the run's ParamReport from ``validate_params``)
+    is given the record carries a DiagnosticsRecord computed for the new
+    state (cost O(n * dim)); psi is weighted by ``report.stability``, and is
+    None when that is None.
     """
     op, reg, loss = problem.op, problem.reg, problem.loss
     beta, tau, sigma = config.beta, config.tau, config.sigma
@@ -161,10 +162,10 @@ def step(state, problem, config, estimator, report=None):
         # Before x_{t+1} is scored, while the loss's memo still holds x_t:
         # the estimator error and SARAH's bounding sequence both take the
         # exact gradient there.
-        err = g - loss.full_gradient(state.x)
+        err = g - loss._full_gradient(state.x)
         grad_err_sq_prev = float(err @ err)
         upsilon, gamma = estimator.upsilon_gamma(x_next)
-    objective = loss.full_value(x_next) + reg.value(z_next)
+    objective = loss._full_value(x_next) + reg.value(z_next)
     diag = None
     if report is not None:
         aug = _augmented_lagrangian(objective, u_next, resid_vec, beta)

@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -36,3 +38,39 @@ def test_only_the_base_class_defines_the_checked_entries(name, base, public):
     offenders = [(c.__name__, m) for c in classes if c.__name__ != base
                  for m in sorted(public & set(vars(c)))]
     assert offenders == []
+
+
+def _checks_by_scope(path):
+    """(class or None, function) for each reference to a loss input check."""
+    found = []
+
+    def walk(node, cls, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr in ("_check_x", "_check_idx"):
+                found.append((cls, fn))
+            if isinstance(child, ast.ClassDef):
+                walk(child, child.name, None)
+            elif isinstance(child, ast.FunctionDef):
+                walk(child, cls, fn or child.name)
+            else:
+                walk(child, cls, fn)
+
+    walk(ast.parse(path.read_text()), None, None)
+    return found
+
+
+def test_loss_inputs_are_checked_only_at_the_public_entries():
+    # FiniteSumLoss's public methods, each backend's estimate and
+    # init_estimator take x from callers; everything else calls the cores
+    from sadmm.estimators import _BACKENDS
+
+    backends = {cls.__name__ for cls in _BACKENDS.values()}
+    allowed = {("FiniteSumLoss", m) for m in dir(sadmm.FiniteSumLoss) if not m.startswith("_")}
+    allowed |= {(name, "estimate") for name in backends} | {(None, "init_estimator")}
+    src = Path(sadmm.__file__).parent
+    found = {path.name: _checks_by_scope(path) for path in sorted(src.glob("*.py"))}
+    offenders = [(name, scope) for name, scopes in found.items() for scope in scopes
+                 if scope not in allowed]
+    assert offenders == []
+    # the walk sees the checks it allows
+    assert {("FiniteSumLoss", "full_value"), (None, "init_estimator")} <= set(sum(found.values(), []))

@@ -234,14 +234,19 @@ def test_lipschitz_certificate_sampled_pairs():
                 assert lhs <= L * np.linalg.norm(x - y) * (1.0 + 1e-9)
 
 
+def _values(loss, x, idx=None):
+    """``component_value`` at x of the rows idx (all rows when None), in order."""
+    return np.array([loss.component_value(i, x) for i in (range(loss.n) if idx is None else idx)])
+
+
 def test_value_ranges():
     rng = np.random.default_rng(4)
     sig = random_sigmoid_loss(rng, 8, 3)
     ls = random_least_squares_loss(rng, 8, 3)
     for _ in range(50):
         x = rng.standard_normal(3)
-        assert np.all((sig.component_values(x) > 0) & (sig.component_values(x) < 1))
-        assert np.all(ls.component_values(x) >= 0)
+        assert np.all((_values(sig, x) > 0) & (_values(sig, x) < 1))
+        assert np.all(_values(ls, x) >= 0)
 
 
 def test_extreme_scores_do_not_overflow():
@@ -282,6 +287,46 @@ def test_dimension_and_index_errors():
         loss.component_gradient(5, [0.0, 0.0])
     with pytest.raises(ShapeError):
         loss.full_gradient([1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("idx", [
+    np.ones(4, dtype=bool),  # a mask: not the rows it selects, nor rows 0 and 1
+    [2.9],  # not row 2
+    [[0, 1], [2, 3]],
+    [np.nan],  # without a cast warning on the way
+    3,
+], ids=["bool_mask", "float", "2d", "nan", "scalar"])
+def test_indices_that_are_not_1d_integers_raise_shape_error(idx):
+    loss = random_least_squares_loss(np.random.default_rng(40), n=4, d=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for entry in (loss.component_gradients, loss.component_coefficients):
+            with pytest.raises(ShapeError):
+                entry(np.ones(3), idx)
+
+
+@pytest.mark.parametrize("i", [2.9, True, np.nan, np.array([1, 2])])
+def test_component_index_must_be_one_integer(i):
+    loss = random_sigmoid_loss(np.random.default_rng(41), n=4, d=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for entry in (loss.component_value, loss.component_gradient):
+            with pytest.raises(ShapeError):
+                entry(i, np.ones(3))
+
+
+def test_integer_indices_of_any_width_and_empty_lists_are_accepted():
+    loss = random_least_squares_loss(np.random.default_rng(42), n=4, d=3)
+    x = np.ones(3)
+    want = loss.component_gradients(x, np.array([3, 0, 3]))
+    for idx in ([3, 0, 3], np.array([3, 0, 3], dtype=np.int32), np.array([3, 0, 3], dtype=np.uint8)):
+        assert loss.component_gradients(x, idx).tobytes() == want.tobytes()
+    assert loss.component_gradients(x, []).shape == (0, 3)
+    assert loss.component_coefficients(x, [])[1].shape == (0,)
+    assert loss.component_value(np.int32(3), x) == loss.component_value(3, x)
+    for idx in ([4], [-1], np.array([0, 4], dtype=np.uint8)):
+        with pytest.raises(IndexError):
+            loss.component_gradients(x, idx)
 
 
 def _twin_losses(make, seed):
@@ -333,12 +378,11 @@ def test_scored_point_reuse_matches_fresh_loss_bytes(monkeypatch, make):
         for sel in (idx, None):
             got = warm.component_gradients(x, sel)
             assert got.tobytes() == fresh.component_gradients(x, sel).tobytes()
-            got = warm.component_values(x, sel)
-            assert got.tobytes() == fresh.component_values(x, sel).tobytes()
+            assert _values(warm, x, sel).tobytes() == _values(fresh, x, sel).tobytes()
         assert len(passes) == before
         # results are the caller's own: changing them leaves the memo intact
         g[:] = 7.0
-        warm.component_values(x)[:] = 7.0
+        warm.component_coefficients(x)[1][:] = 7.0
         assert warm.full_gradient(x).tobytes() == fresh.full_gradient(x).tobytes()
         assert warm.full_value(x) == fresh.full_value(x)
 
@@ -428,9 +472,9 @@ def test_from_rows_matches_components_bytes(make):
         assert store.full_value(x) == packed.full_value(x)
         assert store.full_gradient(x).tobytes() == packed.full_gradient(x).tobytes()
         for sel in (idx, None):
-            for name in ("component_values", "component_gradients"):
-                got = getattr(store, name)(x, sel)
-                assert got.tobytes() == getattr(packed, name)(x, sel).tobytes()
+            got = store.component_gradients(x, sel)
+            assert got.tobytes() == packed.component_gradients(x, sel).tobytes()
+            assert _values(store, x, sel).tobytes() == _values(packed, x, sel).tobytes()
     # the bound of the per-component loop, scaling each squared norm
     scale = SIGMOID_CURVATURE if packed.components[0].kind == "sigmoid" else 2.0
     looped = max(scale * float(c.row @ c.row) for c in packed.components)
@@ -512,7 +556,7 @@ def test_from_rows_accepts_csr_csc_and_coo(fmt):
     assert loss.full_gradient(x).tobytes() == want.full_gradient(x).tobytes()
     for sel in (None, [4, 1, 1, 0]):
         assert loss.component_gradients(x, sel).tobytes() == want.component_gradients(x, sel).tobytes()
-        assert loss.component_values(x, sel).tobytes() == want.component_values(x, sel).tobytes()
+        assert _values(loss, x, sel).tobytes() == _values(want, x, sel).tobytes()
 
 
 def test_sparse_rows_are_canonical():
@@ -529,7 +573,7 @@ def test_sparse_rows_are_canonical():
         twin = FiniteSumLoss.from_rows("least_squares", sp.csr_matrix(rows.toarray()), [1.0, 2.0])
         x = np.array([0.3, -1.0, 2.0])
         assert loss.full_gradient(x).tobytes() == twin.full_gradient(x).tobytes()
-        assert loss.component_values(x).tobytes() == twin.component_values(x).tobytes()
+        assert _values(loss, x).tobytes() == _values(twin, x).tobytes()
 
 
 def test_sparse_rows_are_a_read_only_copy():
@@ -626,9 +670,11 @@ def test_csr_row_dots_are_row_consistent(example):
     assert loss._rows.take(idx).dots(x).tobytes() == full[idx].tobytes()
     for i in idx:
         assert loss._rows.take(np.array([i])).dots(x).tobytes() == full[i : i + 1].tobytes()
-    for name in ("component_values", "component_gradients"):
-        block = getattr(FiniteSumLoss.from_rows(kind, rows, targets), name)(x, idx)
-        assert block.tobytes() == getattr(loss, name)(x)[idx].tobytes()
+    block = FiniteSumLoss.from_rows(kind, rows, targets).component_gradients(x, idx)
+    assert block.tobytes() == loss.component_gradients(x)[idx].tobytes()
+    # each row dotted alone, then read from the all-rows pass in the memo
+    alone = _values(FiniteSumLoss.from_rows(kind, rows, targets), x, idx)
+    assert alone.tobytes() == _values(loss, x, idx).tobytes()
 
 
 @_CSR_PROPERTY
@@ -650,9 +696,10 @@ def test_csr_memo_hit_equals_a_fresh_loss(example):
     warm.full_value(x)
     assert warm.full_gradient(x).tobytes() == FiniteSumLoss.from_rows(kind, rows, targets).full_gradient(x).tobytes()
     for sel in (idx, None):
-        for name in ("component_values", "component_gradients"):
-            fresh = getattr(FiniteSumLoss.from_rows(kind, rows, targets), name)(x, sel)
-            assert getattr(warm, name)(x, sel).tobytes() == fresh.tobytes()
+        fresh = FiniteSumLoss.from_rows(kind, rows, targets).component_gradients(x, sel)
+        assert warm.component_gradients(x, sel).tobytes() == fresh.tobytes()
+        fresh = _values(FiniteSumLoss.from_rows(kind, rows, targets), x, sel)
+        assert _values(warm, x, sel).tobytes() == fresh.tobytes()
     assert warm.full_value(x) == FiniteSumLoss.from_rows(kind, rows, targets).full_value(x)
 
 

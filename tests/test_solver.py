@@ -706,6 +706,23 @@ def test_run_checks_operator_lengths_once(monkeypatch, make, epochs, diag_every)
     assert len(checks) == 1
 
 
+@pytest.mark.parametrize("diag_every", [0, 1])
+@pytest.mark.parametrize("kind", ["full", "sgd", "saga", "svrg", "sarah"])
+def test_run_checks_loss_inputs_once_per_step(monkeypatch, kind, diag_every):
+    # init_estimator checks x0 and each estimate checks its x; scoring, the
+    # diagnostic error, re-anchors, restarts and upsilon call the cores
+    problem = generate_synthetic_quadratic(60, 8, seed=5)
+    checks = _count_calls(monkeypatch, FiniteSumLoss, "_check_x")
+    spec = EstimatorSpec(kind, batch_size=5, epoch_len=3, restart_p=3.0, seed=6)
+    config = SolverConfig(
+        beta=1.0, tau=8.0, sigma=0.95, estimator=spec, max_epochs=2,
+        residual_tol=math.inf, diag_every=diag_every,
+    )
+    result = run(problem, config)
+    assert len(result.trace) == 2 * (1 if kind == "full" else 12)
+    assert len(checks) == len(result.trace) + 1
+
+
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_run_drops_the_loss_memo_on_return_and_on_divergence():
     problem = small_problem(seed=13)
