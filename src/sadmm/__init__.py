@@ -7,16 +7,20 @@ variance-reduced) stochastic estimate.
 """
 
 from .diagnostics import (
+    ETA_GRID,
     DiagnosticsRecord,
+    ParamReport,
     StabilityConstants,
+    VarianceConstants,
+    descent_coefficient,
     stability_constants,
+    theoretical_constants,
+    validate_params,
 )
 from .estimators import (
     EstimatorSpec,
     GradientEstimator,
-    VarianceConstants,
     init_estimator,
-    theoretical_constants,
 )
 from .exceptions import (
     ConfigError,
@@ -57,16 +61,12 @@ from .problems import (
 )
 from .regularizers import L0, L1, Regularizer
 from .solver import (
-    ETA_GRID,
     IterationRecord,
-    ParamReport,
     RunResult,
     SolverConfig,
     SolverState,
-    descent_coefficient,
     run,
     step,
-    validate_params,
 )
 
 __version__ = "0.1.0"

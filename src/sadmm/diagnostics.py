@@ -1,22 +1,37 @@
-"""Theory-facing instrumentation for solver runs.
+"""The parameter theory and the per-iteration diagnostics built on it.
 
-This module holds the coefficients of the stability function used to
-certify descent in expectation, and evaluates it, with the augmented
-Lagrangian it starts from, on the values ``solver.step`` already has.
-Everything here is a pure computation over state snapshots.
+The convergence argument rests on a few constants: the estimator class's
+variance constants (V1, V2, V_Upsilon, rho), the descent coefficient
+eta_tilde and the weights of the stability function psi. This module
+holds all of them. ``validate_params`` evaluates the descent coefficient
+whose positivity certifies that psi decreases in expectation, together
+with the feasibility checks on (beta, tau, sigma); the solver never
+enforces those checks. psi and the augmented Lagrangian it starts from
+are evaluated on the values ``solver.step`` already has. Everything here
+is a pure computation over parameters and state snapshots.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, NamedTuple, Optional, Tuple
 
-from .exceptions import DiagnosticUndefinedError
+from .exceptions import DiagnosticUndefinedError, NoCertifiedConstantsError
 
 __all__ = [
     "DiagnosticsRecord",
     "StabilityConstants",
     "stability_constants",
+    "VarianceConstants",
+    "theoretical_constants",
+    "ParamReport",
+    "validate_params",
+    "descent_coefficient",
+    "ETA_GRID",
 ]
+
+# Grid over which the free constant eta is maximized when evaluating the
+# descent coefficient.
+ETA_GRID = tuple(2.0**k for k in range(-20, 21))
 
 
 def _square(x):
@@ -34,6 +49,64 @@ def _quot(a, b):
         return a / b
     except ZeroDivisionError:
         return math.inf if a > 0 else math.nan
+
+
+class VarianceConstants(NamedTuple):
+    v1: float
+    v2: float
+    v_upsilon: float
+    rho: float
+
+
+def theoretical_constants(spec, L, n):
+    """Certified variance-reduction constants (V1, V2, V_Upsilon, rho).
+
+    Only the gradient-table and recursive backends carry proven
+    constants; for anything else a NoCertifiedConstantsError is raised and
+    callers fall back to conservative defaults.
+    """
+    lip = L.L
+    if spec.kind == "saga":
+        b = spec.batch_size
+        v_up = math.inf if b * n == 1 else n * _square(lip) / (b * n - 1)
+        return VarianceConstants(0.0, 0.0, v_up, b / n)
+    if spec.kind == "sarah":
+        b = spec.batch_size
+        return VarianceConstants(0.0, lip / math.sqrt(b), _square(lip) / b, 1.0 / spec.restart_p)
+    raise NoCertifiedConstantsError(
+        f"estimator kind {spec.kind!r} has no certified constants"
+    )
+
+
+def _variance_constants(spec, L, n):
+    """Certified constants, or conservative defaults flagged uncertified."""
+    try:
+        return theoretical_constants(spec, L, n), True
+    except NoCertifiedConstantsError:
+        b = n if spec.kind == "full" else spec.batch_size
+        return VarianceConstants(0.0, 0.0, _square(L.L), b / n), False
+
+
+def descent_coefficient(
+    tau, beta, sigma, op_norm_sq, lambda_m, L, eta, c2, v1, v_upsilon, rho
+):
+    """The coefficient multiplying ||x_{t+1} - x_t||^2 in the descent test.
+
+    Positive values certify that the stability function decreases in
+    expectation. Requires lambda_m > 0. A square that overflows, or a
+    division by a product that underflows to 0, reads as inf.
+    """
+    denom = sigma * beta * lambda_m
+    v = v1 + v_upsilon / rho
+    return (
+        tau
+        - (L + beta * op_norm_sq) / 2.0
+        - _quot(4.0 * sigma * _square(tau), beta * lambda_m)
+        - _quot(8.0 * _square(sigma * tau + L), denom)
+        - 1.0 / (2.0 * eta)
+        - (_quot(64.0, denom) + eta) * v
+        - c2
+    )
 
 
 @dataclass(frozen=True)
@@ -66,6 +139,125 @@ def stability_constants(sigma, beta, tau, L, lambda_m, eta, c2, v1, v_upsilon, r
     w = _quot(32.0, denom) + eta / 2.0
     c3 = w * (v1 + v_upsilon / rho) + c2 + c1
     return StabilityConstants(c0, c3, (1.0 / rho) * w, _quot(16.0, denom))
+
+
+@dataclass
+class ParamReport:
+    """Outcome of the parameter feasibility checks.
+
+    ``checks`` is a list of (name, status, detail) with status one of
+    "pass", "warn", "fail". ``eta_tilde`` is NaN when lambda_min(AA^T) = 0
+    leaves the descent coefficient undefined. ``stability`` holds the
+    weights of the stability function psi at ``eta_used`` and ``c2_used``,
+    and is None unless lambda_min(AA^T) > 0.
+    """
+
+    eta_tilde: float
+    eta_used: float
+    c2_used: float
+    checks: List[Tuple[str, str, str]]
+    certified: bool
+    constants: VarianceConstants
+    lipschitz: float
+    op_norm_sq: float
+    lambda_min_aat: float
+    kappa: float
+    stability: Optional[StabilityConstants]
+
+    def all_pass(self):
+        return all(status == "pass" for _, status, _ in self.checks)
+
+
+def validate_params(problem, config, spectral, L):
+    """Evaluate the feasibility checks and the descent coefficient.
+
+    The free constant eta is chosen by maximizing the descent coefficient
+    over ETA_GRID, and c2 is pinned to 1e-6 * tau; when no eta gives a
+    finite value, the last one is reported with its value and the check
+    fails. Reports, never raises.
+    """
+    beta, tau, sigma = config.beta, config.tau, config.sigma
+    vc, certified = _variance_constants(config.estimator, L, problem.loss.n)
+    c2 = 1e-6 * tau
+    lam = spectral.lambda_min_aat
+    checks = []
+
+    ok = 2.0 * tau >= beta * spectral.op_norm_sq
+    checks.append(
+        (
+            "tau_vs_beta_norm",
+            "pass" if ok else "fail",
+            f"2*tau = {2.0 * tau:g} vs beta*||A||^2 = {beta * spectral.op_norm_sq:g}",
+        )
+    )
+
+    bound = 0.0 if math.isinf(spectral.condition_kappa) else 1.0 / (
+        24.0 * spectral.condition_kappa
+    )
+    ok = sigma < bound
+    checks.append(
+        (
+            "sigma_vs_kappa",
+            "pass" if ok else "fail",
+            f"sigma = {sigma:g} vs 1/(24*kappa) = {bound:g}",
+        )
+    )
+
+    checks.append(
+        (
+            "lambda_min_positive",
+            "pass" if lam > 0 else "warn",
+            f"lambda_min(AA^T) = {lam:g}"
+            + ("" if lam > 0 else " (A not surjective; descent theory unavailable)"),
+        )
+    )
+
+    if lam > 0:
+        best_eta, best_val = None, -math.inf
+        for eta in ETA_GRID:
+            val = descent_coefficient(
+                tau, beta, sigma, spectral.op_norm_sq, lam, L.L, eta, c2, vc.v1, vc.v_upsilon, vc.rho
+            )
+            if val > best_val:
+                best_eta, best_val = eta, val
+        eta_used, eta_tilde = (eta, val) if best_eta is None else (best_eta, best_val)
+        checks.append((
+            "eta_tilde_positive",
+            "pass" if eta_tilde > 0 else "fail",
+            f"eta_tilde = {eta_tilde:g} at eta = {eta_used:g}",
+        ))
+        stability = stability_constants(
+            sigma, beta, tau, L.L, lam, eta_used, c2, vc.v1, vc.v_upsilon, vc.rho
+        )
+    else:
+        eta_used, eta_tilde, stability = 1.0, float("nan"), None
+        checks.append(
+            ("eta_tilde_positive", "warn", "undefined (division by lambda_min(AA^T) = 0)")
+        )
+
+    checks.append(
+        (
+            "certified_constants",
+            "pass" if certified else "warn",
+            "certified"
+            if certified
+            else f"uncertified: conservative defaults for {config.estimator.kind!r}",
+        )
+    )
+
+    return ParamReport(
+        eta_tilde=eta_tilde,
+        eta_used=eta_used,
+        c2_used=c2,
+        checks=checks,
+        certified=certified,
+        constants=vc,
+        lipschitz=L.L,
+        op_norm_sq=spectral.op_norm_sq,
+        lambda_min_aat=lam,
+        kappa=spectral.condition_kappa,
+        stability=stability,
+    )
 
 
 @dataclass

@@ -27,17 +27,15 @@ mutates internal state and is not reentrant.
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
-from .diagnostics import _square
-from .exceptions import NoCertifiedConstantsError, ParameterError, _check_count
+from .exceptions import ParameterError, _check_count
 from .rng import DOMAIN_BATCH, Substreams
 
 __all__ = [
     "EstimatorSpec",
-    "VarianceConstants",
     "GradientEstimator",
     "FullEstimator",
     "SgdEstimator",
@@ -45,7 +43,6 @@ __all__ = [
     "SvrgEstimator",
     "SarahEstimator",
     "init_estimator",
-    "theoretical_constants",
 ]
 
 
@@ -77,13 +74,6 @@ class EstimatorSpec:
                 raise ParameterError("sarah requires restart_p > 1")
             if self.restart_p == math.inf:
                 raise ParameterError("restart_p must be finite, got inf")
-
-
-class VarianceConstants(NamedTuple):
-    v1: float
-    v2: float
-    v_upsilon: float
-    rho: float
 
 
 class GradientEstimator:
@@ -350,23 +340,3 @@ def _check_batch_size(spec, n):
     """Raise ParameterError when a sampling backend's batch exceeds n."""
     if spec.kind != "full" and spec.batch_size > n:
         raise ParameterError(f"batch_size {spec.batch_size} exceeds component count {n}")
-
-
-def theoretical_constants(spec, L, n):
-    """Certified variance-reduction constants (V1, V2, V_Upsilon, rho).
-
-    Only the gradient-table and recursive backends carry proven
-    constants; for anything else a NoCertifiedConstantsError is raised and
-    callers fall back to conservative defaults.
-    """
-    lip = L.L
-    if spec.kind == "saga":
-        b = spec.batch_size
-        v_up = math.inf if b * n == 1 else n * _square(lip) / (b * n - 1)
-        return VarianceConstants(0.0, 0.0, v_up, b / n)
-    if spec.kind == "sarah":
-        b = spec.batch_size
-        return VarianceConstants(0.0, lip / math.sqrt(b), _square(lip) / b, 1.0 / spec.restart_p)
-    raise NoCertifiedConstantsError(
-        f"estimator kind {spec.kind!r} has no certified constants"
-    )

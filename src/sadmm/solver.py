@@ -1,4 +1,4 @@
-"""Stochastic linearized ADMM iteration, runner and parameter validator.
+"""Stochastic linearized ADMM iteration and runner.
 
 One iteration performs, in order: the splitting-variable prox step, a
 stochastic gradient estimate at the current point, the linearized primal
@@ -8,11 +8,9 @@ step, and the relaxed dual ascent step:
     x_{t+1} = x_t - (1/tau) ( g_t + A^T ( u_t + beta (A x_t - z_{t+1}) ) )
     u_{t+1} = u_t + sigma beta ( A x_{t+1} - z_{t+1} )
 
-``validate_params`` evaluates the descent coefficient eta_tilde whose
-positivity certifies that the stability function decreases in
-expectation, together with the feasibility checks on (beta, tau, sigma).
-The solver itself never enforces those checks; it runs on warnings and
-aborts only on structural errors.
+The parameter checks and the descent coefficient live in ``diagnostics``
+(``validate_params``). The solver itself never enforces those checks; it
+runs on warnings and aborts only on structural errors.
 """
 
 import math
@@ -24,22 +22,13 @@ import numpy as np
 
 from .diagnostics import (
     DiagnosticsRecord,
-    StabilityConstants,
     _augmented_lagrangian,
     _psi,
-    _quot,
-    _square,
-    stability_constants,
+    validate_params,
 )
-from .estimators import (
-    EstimatorSpec,
-    VarianceConstants,
-    init_estimator,
-    theoretical_constants,
-)
+from .estimators import EstimatorSpec, init_estimator
 from .exceptions import (
     DivergenceError,
-    NoCertifiedConstantsError,
     ParameterError,
     SpectralEstimationError,
     _check_count,
@@ -52,19 +41,11 @@ __all__ = [
     "SolverState",
     "IterationRecord",
     "RunResult",
-    "ParamReport",
     "step",
     "run",
-    "validate_params",
-    "descent_coefficient",
-    "ETA_GRID",
 ]
 
 OUTPUT_RULES = ("final", "uniform_random")
-
-# Grid over which the free constant eta is maximized when evaluating the
-# descent coefficient.
-ETA_GRID = tuple(2.0**k for k in range(-20, 21))
 
 
 @dataclass(frozen=True)
@@ -185,15 +166,6 @@ def step(state, problem, config, estimator, report=None):
     return new_state, record
 
 
-def _variance_constants(spec, L, n):
-    """Certified constants, or conservative defaults flagged uncertified."""
-    try:
-        return theoretical_constants(spec, L, n), True
-    except NoCertifiedConstantsError:
-        b = n if spec.kind == "full" else spec.batch_size
-        return VarianceConstants(0.0, 0.0, _square(L.L), b / n), False
-
-
 def run(problem, config, x0=None, spectral=None):
     """Run the iteration for ``max_epochs`` worth of estimator calls.
 
@@ -286,144 +258,3 @@ def _iterate(problem, config, x0, spectral):
     # A kept result does not hold the carried A x; a step from it recomputes it.
     state.ax = None
     return RunResult(trace=trace, output=output, state=state)
-
-
-def descent_coefficient(
-    tau, beta, sigma, op_norm_sq, lambda_m, L, eta, c2, v1, v_upsilon, rho
-):
-    """The coefficient multiplying ||x_{t+1} - x_t||^2 in the descent test.
-
-    Positive values certify that the stability function decreases in
-    expectation. Requires lambda_m > 0. A square that overflows, or a
-    division by a product that underflows to 0, reads as inf.
-    """
-    denom = sigma * beta * lambda_m
-    v = v1 + v_upsilon / rho
-    return (
-        tau
-        - (L + beta * op_norm_sq) / 2.0
-        - _quot(4.0 * sigma * _square(tau), beta * lambda_m)
-        - _quot(8.0 * _square(sigma * tau + L), denom)
-        - 1.0 / (2.0 * eta)
-        - (_quot(64.0, denom) + eta) * v
-        - c2
-    )
-
-
-@dataclass
-class ParamReport:
-    """Outcome of the parameter feasibility checks.
-
-    ``checks`` is a list of (name, status, detail) with status one of
-    "pass", "warn", "fail". ``eta_tilde`` is NaN when lambda_min(AA^T) = 0
-    leaves the descent coefficient undefined. ``stability`` holds the
-    weights of the stability function psi at ``eta_used`` and ``c2_used``,
-    and is None unless lambda_min(AA^T) > 0.
-    """
-
-    eta_tilde: float
-    eta_used: float
-    c2_used: float
-    checks: List[Tuple[str, str, str]]
-    certified: bool
-    constants: VarianceConstants
-    lipschitz: float
-    op_norm_sq: float
-    lambda_min_aat: float
-    kappa: float
-    stability: Optional[StabilityConstants]
-
-    def all_pass(self):
-        return all(status == "pass" for _, status, _ in self.checks)
-
-
-def validate_params(problem, config, spectral, L):
-    """Evaluate the feasibility checks and the descent coefficient.
-
-    The free constant eta is chosen by maximizing the descent coefficient
-    over ETA_GRID, and c2 is pinned to 1e-6 * tau; when no eta gives a
-    finite value, the last one is reported with its value and the check
-    fails. Reports, never raises.
-    """
-    beta, tau, sigma = config.beta, config.tau, config.sigma
-    vc, certified = _variance_constants(config.estimator, L, problem.loss.n)
-    c2 = 1e-6 * tau
-    lam = spectral.lambda_min_aat
-    checks = []
-
-    ok = 2.0 * tau >= beta * spectral.op_norm_sq
-    checks.append(
-        (
-            "tau_vs_beta_norm",
-            "pass" if ok else "fail",
-            f"2*tau = {2.0 * tau:g} vs beta*||A||^2 = {beta * spectral.op_norm_sq:g}",
-        )
-    )
-
-    bound = 0.0 if math.isinf(spectral.condition_kappa) else 1.0 / (
-        24.0 * spectral.condition_kappa
-    )
-    ok = sigma < bound
-    checks.append(
-        (
-            "sigma_vs_kappa",
-            "pass" if ok else "fail",
-            f"sigma = {sigma:g} vs 1/(24*kappa) = {bound:g}",
-        )
-    )
-
-    checks.append(
-        (
-            "lambda_min_positive",
-            "pass" if lam > 0 else "warn",
-            f"lambda_min(AA^T) = {lam:g}"
-            + ("" if lam > 0 else " (A not surjective; descent theory unavailable)"),
-        )
-    )
-
-    if lam > 0:
-        best_eta, best_val = None, -math.inf
-        for eta in ETA_GRID:
-            val = descent_coefficient(
-                tau, beta, sigma, spectral.op_norm_sq, lam, L.L, eta, c2, vc.v1, vc.v_upsilon, vc.rho
-            )
-            if val > best_val:
-                best_eta, best_val = eta, val
-        eta_used, eta_tilde = (eta, val) if best_eta is None else (best_eta, best_val)
-        checks.append((
-            "eta_tilde_positive",
-            "pass" if eta_tilde > 0 else "fail",
-            f"eta_tilde = {eta_tilde:g} at eta = {eta_used:g}",
-        ))
-        stability = stability_constants(
-            sigma, beta, tau, L.L, lam, eta_used, c2, vc.v1, vc.v_upsilon, vc.rho
-        )
-    else:
-        eta_used, eta_tilde, stability = 1.0, float("nan"), None
-        checks.append(
-            ("eta_tilde_positive", "warn", "undefined (division by lambda_min(AA^T) = 0)")
-        )
-
-    checks.append(
-        (
-            "certified_constants",
-            "pass" if certified else "warn",
-            "certified"
-            if certified
-            else f"uncertified: conservative defaults for {config.estimator.kind!r}",
-        )
-    )
-
-    return ParamReport(
-        eta_tilde=eta_tilde,
-        eta_used=eta_used,
-        c2_used=c2,
-        checks=checks,
-        certified=certified,
-        constants=vc,
-        lipschitz=L.L,
-        op_norm_sq=spectral.op_norm_sq,
-        lambda_min_aat=lam,
-        kappa=spectral.condition_kappa,
-        stability=stability,
-    )

@@ -74,3 +74,36 @@ def test_loss_inputs_are_checked_only_at_the_public_entries():
     assert offenders == []
     # the walk sees the checks it allows
     assert {("FiniteSumLoss", "full_value"), (None, "init_estimator")} <= set(sum(found.values(), []))
+
+
+_THEORY = ("ETA_GRID", "descent_coefficient", "ParamReport", "validate_params",
+           "_variance_constants", "VarianceConstants", "theoretical_constants",
+           "stability_constants", "_square", "_quot")
+
+
+def _defined_names(tree):
+    """Names a module's top level binds by def, class or assignment."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+    return names
+
+
+def test_the_parameter_theory_lives_in_diagnostics():
+    # the constants of the convergence argument have one home, so solver
+    # only iterates and estimators only estimate
+    src = Path(sadmm.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    owners = {name: sorted(m for m, tree in trees.items() if name in _defined_names(tree))
+              for name in _THEORY}
+    assert owners == {name: ["diagnostics"] for name in _THEORY}
+    imports = [node for node in ast.walk(trees["estimators"]) if isinstance(node, ast.ImportFrom)]
+    sources = {node.module for node in imports} | {a.name for node in imports for a in node.names}
+    assert "diagnostics" not in sources
+    diagnostics = importlib.import_module("sadmm.diagnostics")
+    unresolved = [name for name in _THEORY
+                  if not hasattr(sadmm, name) and not hasattr(diagnostics, name)]
+    assert unresolved == []
