@@ -23,7 +23,6 @@ from contextlib import suppress
 import numpy as np
 
 from .config import build_problem, load_run_config
-from .estimators import _check_batch_size
 from .exceptions import (
     ConfigError,
     DataError,
@@ -133,7 +132,6 @@ def cmd_solve(config_path):
             raise ConfigError("[output] missing required key 'trace' for solve")
         _check_out_dir(run_config.trace_path)  # the plot-data CSV goes beside it
         problem = build_problem(run_config)
-        _check_batch_size(run_config.solver.estimator, problem.loss.n)
     except _CONFIG_ERRORS as exc:
         return _fail(exc)
     config = run_config.solver
@@ -169,7 +167,6 @@ def cmd_validate(config_path):
     try:
         run_config = load_run_config(config_path)
         problem = build_problem(run_config)
-        _check_batch_size(run_config.solver.estimator, problem.loss.n)
     except _CONFIG_ERRORS as exc:
         return _fail(exc)
     _, report = _report(problem, run_config.solver)

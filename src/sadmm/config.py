@@ -16,7 +16,7 @@ import os
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .estimators import EstimatorSpec
+from .estimators import EstimatorSpec, _check_batch_size
 from .exceptions import ConfigError, ParameterError
 from .libsvm import parse_libsvm
 from .problems import (
@@ -104,15 +104,6 @@ class RunConfig:
     test_data: Optional[str]
 
 
-def _parse_bool(raw):
-    low = raw.lower()
-    if low in ("true", "yes", "on", "1"):
-        return True
-    if low in ("false", "no", "off", "0"):
-        return False
-    raise ValueError(raw)
-
-
 def _read_section(parser, name, schema, base):
     """The section's values by key: types parsed, defaults filled in.
 
@@ -130,10 +121,12 @@ def _read_section(parser, name, schema, base):
                 raise ConfigError(f"[{name}] missing required key {key!r}")
             values[key] = entry.default
             continue
-        kind = _parse_bool if entry.kind is bool else entry.kind
         try:
-            values[key] = kind(raw[key])
-        except ValueError:
+            if entry.kind is bool:
+                values[key] = parser.BOOLEAN_STATES[raw[key].lower()]
+            else:
+                values[key] = entry.kind(raw[key])
+        except (KeyError, ValueError):
             raise ConfigError(
                 f"[{name}] {key} = {raw[key]!r} is not a valid {entry.kind.__name__}"
             ) from None
@@ -204,14 +197,20 @@ def load_run_config(path):
 
 
 def build_problem(run_config):
-    """Instantiate the Problem described by a RunConfig."""
+    """Instantiate the Problem described by a RunConfig.
+
+    Raises ParameterError when the solver's sampling batch exceeds the
+    problem's component count, as ``init_estimator`` would at run time.
+    """
     args = dict(run_config.problem)
     builder = args.pop("builder")
     if builder == "fused_lasso":
         data = parse_libsvm(args["data"], n_features=args["n_features"])
         graph = build_graph(data, rho_c=args["rho_c"])
-        return build_fused_lasso(data, lambda1=args["lambda1"], graph=graph, name=args["name"])
-    if builder == "toy_reconstruction":
+        problem = build_fused_lasso(data, lambda1=args["lambda1"], graph=graph, name=args["name"])
+    elif builder == "toy_reconstruction":
         problem, _truth = build_toy_reconstruction(**args)
-        return problem
-    return generate_synthetic_quadratic(**args)
+    else:
+        problem = generate_synthetic_quadratic(**args)
+    _check_batch_size(run_config.solver.estimator, problem.loss.n)
+    return problem

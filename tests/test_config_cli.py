@@ -771,6 +771,15 @@ def test_single_fault_message(tmp_path, old, new, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("spelling, value", [
+    ("True", True), ("yES", True), ("On", True), ("1", True),
+    ("FALSE", False), ("No", False), ("oFF", False), ("0", False),
+])
+def test_every_boolean_spelling_in_any_case(tmp_path, spelling, value):
+    body = BASE_SYNTH.format(trace="t.csv") + f"plot_data = {spelling}\n"
+    assert load_run_config(write_config(tmp_path / "b.ini", body)).plot_data is value
+
+
 _SCHEMA_KEYS = [
     "builder", "data", "lambda1", "rho_c", "n_features", "test_data", "name", "height", "width",
     "forward", "radius", "keep", "noise_sigma", "lambda", "reg", "seed", "n", "d", "conditioning",
