@@ -15,9 +15,11 @@ subtracts c_x[i] a_ij - c_y[i] a_ij, never (c_x[i] - c_y[i]) a_ij), so
 it has the bytes of the table formula. ``estimate`` and ``init_estimator``
 check x; the rest calls the loss's unchecked cores. A batch is gathered once.
 
-Each estimator owns a counter-based random stream keyed by
-(seed, iteration), so replaying a run with the same seed reproduces the
-exact draw sequence regardless of process or thread layout. It builds one
+Each estimator draws iteration t from the counter-based random stream
+(seed, DOMAIN_BATCH, t), whose Philox counter [0, DOMAIN_BATCH, t, 0] keeps
+the iteration clear of the block count in word 0: no two iterations share a
+random block, and replaying a run with the same seed reproduces the exact
+draw sequence regardless of process or thread layout. It builds one
 generator, on its first draw, and moves it to each iteration's stream: the
 generator ``_stream`` returns is valid only until the next ``_stream`` call.
 An estimator instance is exclusively owned by one solver run; ``estimate``

@@ -2,9 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sadmm import EstimatorSpec, SolverConfig, generate_synthetic_quadratic, run
+from sadmm import (
+    EstimatorSpec,
+    FiniteSumLoss,
+    SolverConfig,
+    generate_synthetic_quadratic,
+    init_estimator,
+    run,
+)
 from sadmm import rng as rng_module
-from sadmm.rng import Substreams, substream
+from sadmm.rng import DOMAIN_BATCH, Substreams, substream
 
 DOMAINS = tuple(
     getattr(rng_module, name) for name in dir(rng_module) if name.startswith("DOMAIN_")
@@ -54,9 +61,51 @@ def test_substream_counter_is_exact_beyond_int64():
     # numpy reads a list holding 2**64 - 1 as floats, which wrapped the
     # stream onto index 0
     top = substream(3, 1, 2**64 - 1)
-    assert top.bit_generator.state["state"]["counter"].tolist() == [2**64 - 1, 1, 0, 0]
+    assert top.bit_generator.state["state"]["counter"].tolist() == [0, 1, 2**64 - 1, 0]
     assert top.random() != substream(3, 1, 0).random()
     assert substream(3, 1, 2**63 + 1).random() != substream(3, 1, 2**63).random()
+
+
+def _counter(generator):
+    return generator.bit_generator.state["state"]["counter"].tolist()
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+def test_index_zero_keeps_the_counter_the_problem_data_was_drawn_from(domain):
+    # The problem builders draw only from index 0, so its counter fixes the
+    # generated problems; every other index sits in word 2.
+    assert _counter(substream(5, domain, 0)) == [0, domain, 0, 0]
+    assert _counter(substream(5, domain, 1)) == [0, domain, 1, 0]
+
+
+# 4-word Philox blocks per stream compared below: more than any step draws.
+BLOCKS = 1024
+
+
+def test_streams_of_one_seed_share_no_block():
+    # A step draws one word for SARAH's coin and two 32-bit batch indices per
+    # word; even a batch of all n = 4062 rows stays within BLOCKS.
+    step = substream(7, DOMAIN_BATCH, 5)
+    step.random()
+    step.integers(0, 4062, size=4062)
+    assert _counter(step)[0] < BLOCKS
+    blocks = np.concatenate([
+        substream(7, domain, index).bit_generator.random_raw(4 * BLOCKS).reshape(-1, 4)
+        for domain in DOMAINS
+        for index in (*range(16), 2**40, 2**64 - 1)
+    ])
+    assert len(np.unique(blocks, axis=0)) == len(blocks)
+
+
+def test_consecutive_batches_overlap_only_by_chance():
+    # b = 16 of n = 4062, the criterion-8 sampling: chance shares b^2/n = 0.063
+    # indices between two batches; streams that overlap shared 8.
+    n = 4062
+    loss = FiniteSumLoss.from_rows("least_squares", np.ones((n, 1)), np.zeros(n))
+    est = init_estimator(EstimatorSpec("sgd", batch_size=16, seed=1), loss, np.zeros(1))
+    batches = [set(est._draw_batch(est._stream(t)).tolist()) for t in range(400)]
+    shared = [len(a & b) for a, b in zip(batches, batches[1:])]
+    assert np.mean(shared) < 0.25
 
 
 def _count_philox(monkeypatch):
