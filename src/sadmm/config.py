@@ -197,11 +197,8 @@ def load_run_config(path):
 
 
 def build_problem(run_config):
-    """Instantiate the Problem described by a RunConfig.
-
-    Raises ParameterError when the solver's sampling batch exceeds the
-    problem's component count, as ``init_estimator`` would at run time.
-    """
+    """Instantiate the Problem described by a RunConfig; a sampling batch
+    larger than its component count raises ParameterError."""
     args = dict(run_config.problem)
     builder = args.pop("builder")
     if builder == "fused_lasso":

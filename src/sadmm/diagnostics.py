@@ -1,14 +1,12 @@
 """The parameter theory and the per-iteration diagnostics built on it.
 
-The convergence argument rests on a few constants: the estimator class's
-variance constants (V1, V2, V_Upsilon, rho), the descent coefficient
-eta_tilde and the weights of the stability function psi. This module
-holds all of them. ``validate_params`` evaluates the descent coefficient
-whose positivity certifies that psi decreases in expectation, together
-with the feasibility checks on (beta, tau, sigma); the solver never
-enforces those checks. psi and the augmented Lagrangian it starts from
-are evaluated on the values ``solver.step`` already has. Everything here
-is a pure computation over parameters and state snapshots.
+The convergence argument rests on the estimator class's variance constants
+(V1, V2, V_Upsilon, rho), the descent coefficient eta_tilde, whose
+positivity certifies that the stability function psi decreases in
+expectation, and psi's weights. ``validate_params`` evaluates them with the
+feasibility checks on (beta, tau, sigma); psi and the augmented Lagrangian
+are evaluated on the values ``solver.step`` already has. Everything here is
+a pure computation over parameters and state snapshots.
 """
 
 import math
