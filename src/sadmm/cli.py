@@ -13,6 +13,7 @@ warnings or failures.
 """
 
 import argparse
+import csv
 import math
 import os
 import sys
@@ -23,6 +24,7 @@ from contextlib import suppress
 import numpy as np
 
 from .config import build_problem, load_run_config
+from .diagnostics import validate_params
 from .exceptions import (
     ConfigError,
     DataError,
@@ -35,7 +37,7 @@ from .exceptions import (
 from .libsvm import parse_libsvm
 from .linops import estimate_spectral
 from .losses import FiniteSumLoss
-from .solver import run, validate_params
+from .solver import run
 from .trace import format_float, write_trace
 
 BENCH_COLUMNS = ("method", "seed", "epoch", "objective", "residual")
@@ -213,18 +215,15 @@ def _pool_bundles(paths, workers):
 
 
 def _write_bench_csv(path, bundles):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(BENCH_COLUMNS) + "\n")
+    """One row per record; a failed run is one row of nans, seed -1."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")  # quotes a label holding a comma
+        out.writerow(BENCH_COLUMNS)
         for bundle in bundles:
+            head = [bundle["label"], bundle["seed"]]
             if bundle["error"] is not None:
-                fh.write(f"{bundle['label']},{bundle['seed']},nan,nan,nan\n")
-                continue
-            for epoch, objective, residual in bundle["rows"]:
-                fh.write(
-                    f"{bundle['label']},{bundle['seed']},"
-                    f"{format_float(epoch)},{format_float(objective)},"
-                    f"{format_float(residual)}\n"
-                )
+                out.writerow(head + ["nan"] * 3)
+            out.writerows(head + [format_float(v) for v in row] for row in bundle["rows"])
 
 
 def _write_summary_csv(path, bundles):
@@ -236,7 +235,7 @@ def _write_summary_csv(path, bundles):
     ok = [b for b in bundles if b["error"] is None and b["rows"]]
     max_epoch = max((b["rows"][-1][0] for b in ok), default=0.0)
     checkpoints = range(1, int(math.floor(max_epoch)) + 1)
-    lines = ["method,epoch,median_objective"]
+    rows = [("method", "epoch", "median_objective")]
     labels = sorted({b["label"] for b in ok})
     for label in labels:
         members = [b for b in ok if b["label"] == label]
@@ -247,9 +246,9 @@ def _write_summary_csv(path, bundles):
                 if below:
                     values.append(below[-1][1])
             if values:
-                lines.append(f"{label},{cp},{format_float(float(np.median(values)))}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+                rows.append((label, cp, format_float(float(np.median(values)))))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 def _worker_count(n_jobs):

@@ -260,7 +260,8 @@ def validate_params(problem, config, spectral, L):
 
 @dataclass
 class DiagnosticsRecord:
-    """Per-iteration theory diagnostics.
+    """Per-iteration theory diagnostics; the primal residual is its
+    IterationRecord's.
 
     ``psi`` is None when lambda_min(AA^T) = 0 makes the stability function
     undefined; all added correction terms are nonnegative, so whenever psi
@@ -269,7 +270,6 @@ class DiagnosticsRecord:
 
     aug_lagrangian: float
     psi: Optional[float]
-    primal_residual: float
     upsilon: float
     gamma: float
     grad_err_sq_prev: float

@@ -36,14 +36,15 @@ The two storages of the same rows agree to the last bit only where the
 dense einsum happens to add a row as a sequential sum does.
 
 A row-store loss keeps a one-entry memo of the last point an all-rows
-pass saw: the link terms of every row there (for sigmoid rows e and the
-sign mask, see ``_link``), and the full value and gradient once computed.
-The solver scores x_{t+1} with ``_full_value`` and takes the next full
-gradient at that point, which then costs only the column sum. The memo
-is keyed by the bytes of x, so -0.0 and 0.0 differ, an array changed in
-place misses and a point with a NaN is never kept. A hit returns exactly
-what a fresh evaluation returns, bit for bit; it rests on the row store
-being read-only.
+pass saw, ``(key, link terms, full gradient or None)``. The solver scores
+x_{t+1} with ``_full_value``; the next step's batch (``_terms``) or
+full gradient there reads its link terms (for sigmoid rows e and the sign
+mask, see ``_link``), and a diagnosed full, SVRG-anchor or SARAH step
+reads the full gradient back. No value is kept: a run scores a point once.
+The memo is keyed by the bytes of x, so -0.0 and 0.0 differ, an array
+changed in place misses and a point with a NaN is never kept. A hit
+returns exactly what a fresh evaluation returns, bit for bit; it rests on
+the row store being read-only.
 ``solver.run`` drops the memo when it returns or raises.
 """
 
@@ -269,11 +270,11 @@ class FiniteSumLoss:
     ``components`` is the list given, or after ``from_rows`` a tuple of
     dense row views. Every evaluation is pure: its result depends on x
     alone. The memo of the module docstring is replaced as one tuple, and
-    ``drop_memo`` releases it.
+    ``drop_memo`` releases it; the Lipschitz bound is read off the row
+    store's cached squared norms.
     """
 
-    _lipschitz = None
-    _memo = None  # (key, link terms of all rows, full value or None, full gradient or None)
+    _memo = None  # (key, link terms of all rows, full gradient or None); see the top
     # _rows is a _DenseRows or a _CsrRows, fixed by _set_rows
 
     def __init__(self, components):
@@ -357,7 +358,7 @@ class FiniteSumLoss:
             if math.isnan(np.vdot(x, x)):  # x has a NaN: squares never sum to one
                 key = None  # None never matches
             terms = _link(self._kind, self._rows.dots(x), self._targets)
-            memo = self._memo = (key, terms, None, None)
+            memo = self._memo = (key, terms, None)
         return memo
 
     def _terms(self, x, idx, rows, targets):
@@ -408,11 +409,7 @@ class FiniteSumLoss:
         return self._full_value(self._check_x(x))
 
     def _full_value(self, x):
-        key, terms, value, grad = self._all_rows(x)
-        if value is None:
-            value = float(np.add.reduce(_values(self._kind, terms)) / self.n)
-            self._memo = (key, terms, value, grad)
-        return value
+        return float(np.add.reduce(_values(self._kind, self._all_rows(x)[1])) / self.n)
 
     def full_gradient(self, x):
         """(1/n) sum of component gradients, bit for bit their axis-0 reduce:
@@ -420,21 +417,19 @@ class FiniteSumLoss:
         return self._full_gradient(self._check_x(x))
 
     def _full_gradient(self, x):
-        key, terms, value, grad = self._all_rows(x)
+        key, terms, grad = self._all_rows(x)
         if grad is None:
             grad = self._rows.column_mean(_coefficients(self._kind, terms, self._targets))
-            self._memo = (key, terms, value, grad)
+            self._memo = (key, terms, grad)
         return grad.copy()
 
     def lipschitz_bound(self):
-        """Certified gradient Lipschitz constant, computed once per loss.
+        """Certified gradient Lipschitz constant, from the squared row norms
+        the row store computes once.
 
         Sigmoid components contribute SIGMOID_CURVATURE * ||a||^2 and
         squared residuals 2 * ||r||^2 (per-row BLAS dots, or sums over the
         CSR nonzeros); the bound is the maximum, which scales the largest
         squared norm, the same float because rounding is monotone.
         """
-        if self._lipschitz is None:
-            scale = _COMPONENTS[self._kind].curvature
-            self._lipschitz = scale * float(self._rows.sq_norms.max())
-        return LipschitzBound(self._lipschitz)
+        return LipschitzBound(_COMPONENTS[self._kind].curvature * float(self._rows.sq_norms.max()))

@@ -153,7 +153,7 @@ def step(state, problem, config, estimator, report=None):
         psi = None
         if report.stability is not None:
             psi = _psi(aug, op, new_state, config, report.stability, upsilon, grad_err_sq_prev)
-        diag = DiagnosticsRecord(aug, psi, residual, upsilon, gamma, grad_err_sq_prev)
+        diag = DiagnosticsRecord(aug, psi, upsilon, gamma, grad_err_sq_prev)
     wall_ms = (time.perf_counter() - t0) * 1000.0
     record = IterationRecord(
         iter=new_state.t,
@@ -250,7 +250,7 @@ def _iterate(problem, config, x0, spectral):
         state = new_state
         if stalled:
             break
-    if config.output_rule == "uniform_random" and iterates:
+    if keep_iterates:
         k = int(substream(config.seed, DOMAIN_OUTPUT, 0).integers(0, len(iterates)))
         output = iterates[k]
     else:

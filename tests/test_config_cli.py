@@ -339,6 +339,27 @@ def test_bench_partial_failure_recorded(tmp_path, monkeypatch, capsys):
     assert main(["bench", str(bench_dir), "-o", str(out_csv)]) == 1
 
 
+def test_bench_csvs_quote_a_label_or_file_name_with_a_comma(tmp_path, monkeypatch):
+    monkeypatch.setenv("SADMM_THREADS", "1")
+    bench_dir = tmp_path / "bench"
+    bench_dir.mkdir()
+    label = 'sgd, "b=2"'
+    body = BASE_SYNTH.format(trace="unused.csv")
+    write_config(bench_dir / "ok.ini", body + f"label = {label}\n")
+    write_config(bench_dir / "bad,run.ini", body.replace("beta = 1.0", "beta = -1.0"))
+    out_csv = tmp_path / "out.csv"
+    assert main(["bench", str(bench_dir), "-o", str(out_csv), "--summary"]) == 0
+    with open(out_csv, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert {len(r) for r in rows} == {5}
+    assert rows[1] == ["bad,run", "-1", "nan", "nan", "nan"]
+    assert len(rows) > 2 and {r[0] for r in rows[2:]} == {label}
+    with open(tmp_path / "out_summary.csv", newline="", encoding="utf-8") as fh:
+        summary = list(csv.reader(fh))
+    assert {len(r) for r in summary} == {3}
+    assert len(summary) > 1 and {r[0] for r in summary[1:]} == {label}
+
+
 def test_bench_parallel_workers(tmp_path, monkeypatch):
     monkeypatch.setenv("SADMM_THREADS", "2")
     bench_dir = tmp_path / "bench"

@@ -127,17 +127,19 @@ def _kkt_step():
     _, new_state, rec = _diag_step(problem, state, config, SpectralEstimates(1.0, 1.0), 2.0)
     assert np.array_equal(new_state.x, xs) and np.array_equal(new_state.z, xs)
     assert np.array_equal(new_state.u, u)
-    return problem, new_state, rec.diag
+    return problem, new_state, rec
 
 
 def test_augmented_lagrangian_zero_residual_case():
-    problem, s, diag = _kkt_step()
-    assert diag.primal_residual == 0.0
+    problem, s, rec = _kkt_step()
+    diag = rec.diag
+    assert rec.primal_residual == 0.0
     assert diag.aug_lagrangian == problem.reg.value(s.z) + problem.loss.full_value(s.x)
 
 
 def test_psi_reduces_to_lagrangian_at_stationarity():
-    problem, s, diag = _kkt_step()
+    problem, s, rec = _kkt_step()
+    diag = rec.diag
     assert diag.psi == diag.aug_lagrangian
     assert diag.aug_lagrangian == pytest.approx(
         aug_lagrangian_oracle(problem, s.x, s.z, s.u, 2.0), rel=1e-15

@@ -107,3 +107,26 @@ def test_the_parameter_theory_lives_in_diagnostics():
     unresolved = [name for name in _THEORY
                   if not hasattr(sadmm, name) and not hasattr(diagnostics, name)]
     assert unresolved == []
+
+
+def _self_stores(tree, attr):
+    """Names of the functions that assign ``self.<attr>``."""
+    return {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn) if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store) and node.attr == attr
+            and isinstance(node.value, ast.Name) and node.value.id == "self"}
+
+
+def test_each_fact_is_stored_once():
+    # the memo holds link terms and a gradient, not a value nobody reads;
+    # the Lipschitz bound is read off the cached row norms; a diagnostics
+    # record does not copy its iteration record's fields
+    from dataclasses import fields
+
+    tree = ast.parse(Path(sadmm.losses.__file__).read_text())
+    assert _self_stores(tree, "_memo") == {"_all_rows", "_full_gradient", "drop_memo"}
+    assert _self_stores(tree, "_lipschitz") == set()
+    assert not hasattr(sadmm.FiniteSumLoss, "_lipschitz")
+    shared = ({f.name for f in fields(sadmm.DiagnosticsRecord)}
+              & {f.name for f in fields(sadmm.IterationRecord)})
+    assert shared == set()

@@ -8,11 +8,12 @@ imported. Each solve of a round (181 per seed: fused_lasso, blur_recon and
 quadratic_tol, in the benchmark's order) is run once, and its line reads
 ``<workload> <index> <role>_<kind>_<instance> <sha256> <objective>``. The
 digest covers every trace record except ``wall_ms`` (iteration, epoch,
-objective, residual and the diagnostics record when present) and the
-bytes of the final x, z and u; ``<objective>`` is the ``repr`` of the
-last record's objective. Two checkouts whose outputs ``diff`` clean
-produced byte-identical traces, and where a change is declared, the same
-``diff`` shows how far each final objective moved.
+objective, residual and the diagnostics record when present, with the
+residual hashed a second time in the record's third slot, so the committed
+digests stay valid) and the bytes of the final x, z and u; ``<objective>``
+is the ``repr`` of the last record's objective. Two checkouts whose
+outputs ``diff`` clean produced byte-identical traces, and where a change
+is declared, the same ``diff`` shows how far each final objective moved.
 """
 
 import argparse
@@ -35,8 +36,6 @@ from sadmm import run  # noqa: E402
 from sadmm.config import build_problem, load_run_config  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
-_DIAG_FIELDS = ("aug_lagrangian", "psi", "primal_residual", "upsilon", "gamma", "grad_err_sq_prev")
-
 
 def _floats(h, values):
     for v in values:
@@ -52,7 +51,9 @@ def solve_digest(result):
         if rec.diag is None:
             h.update(b"-")
         else:
-            _floats(h, (getattr(rec.diag, f) for f in _DIAG_FIELDS))
+            d = rec.diag
+            _floats(h, (d.aug_lagrangian, d.psi, rec.primal_residual, d.upsilon, d.gamma,
+                        d.grad_err_sq_prev))
     for v in (result.state.x, result.state.z, result.state.u):
         h.update(v.tobytes())
     return h.hexdigest()
