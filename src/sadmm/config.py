@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .estimators import EstimatorSpec, _check_batch_size
-from .exceptions import ConfigError, ParameterError
+from .exceptions import ConfigError, ParameterError, _check_count
 from .libsvm import parse_libsvm
 from .problems import (
     build_fused_lasso,
@@ -173,6 +173,7 @@ def load_run_config(path):
                 )
             solv[key] = None
     out = _read_section(parser, "output", _OUTPUT, base)
+    _check_count("[output] diag_every", out["diag_every"], 0, ConfigError)
     try:
         est_spec = EstimatorSpec(
             kind, batch_size=solv["batch_size"], epoch_len=solv["epoch_len"],

@@ -8,8 +8,8 @@ what makes the batch terms independent and the mean-squared-error
 identities used by the tests exact.
 
 Every component gradient is c_i(x) times row a_i, so the backends hold
-coefficients, not gradient tables: SAGA stores n scalars, SVRG the n
-coefficients at its anchor, SGD and SARAH none. An estimate sums the
+coefficients, not gradient tables: SAGA stores n scalars, SVRG the same
+memory moved whole to each anchor, SGD and SARAH none. An estimate sums the
 gathered batch rows by column over their stored entries (``diff_sum``
 subtracts c_x[i] a_ij - c_y[i] a_ij, never (c_x[i] - c_y[i]) a_ij), so
 it has the bytes of the table formula. ``estimate`` and ``init_estimator``
@@ -175,9 +175,13 @@ class SagaEstimator(GradientEstimator):
 
     def __init__(self, spec, loss, x0):
         super().__init__(spec, loss, x0)
-        self._rows, self.alpha = loss._all_coefficients(x0)
+        self._refresh(x0)
+
+    def _refresh(self, x):
+        """Move every memory slot to x: n coefficients and their exact mean."""
         self._table = None
-        self.phi_mean = self._mean()
+        self._rows, self.alpha = self.loss._all_coefficients(x)
+        self.phi_mean = self.loss._full_gradient(x)
         self.evals += self.n
 
     @property
@@ -236,44 +240,27 @@ class SagaEstimator(GradientEstimator):
         return self._scatter(dc * dc * self._rows.sq_norms)
 
 
-class SvrgEstimator(GradientEstimator):
-    """Anchored estimator re-anchoring every ``epoch_len`` calls; it keeps
-    the n coefficients at the anchor, so a batch is dotted at x alone."""
+class SvrgEstimator(SagaEstimator):
+    """SAGA's memory moved whole to the anchor x every ``epoch_len`` calls and
+    kept between anchors, so a batch is dotted at x alone; SAGA's error bound."""
 
     def __init__(self, spec, loss, x0):
         super().__init__(spec, loss, x0)
         self.epoch_len = spec.epoch_len or math.ceil(self.n / spec.batch_size)
-        self._anchor(x0)
-        self.evals += self.n
-
-    def _anchor(self, x):
-        self.anchor_x = np.array(x, dtype=float)
-        self.anchor_full_grad = self.loss._full_gradient(self.anchor_x)
-        _, self.anchor_coef = self.loss._all_coefficients(self.anchor_x)
+        self.anchor_x = np.array(x0, dtype=float)
         self.steps_since_anchor = 0
-
-    def _combine(self, x, idx):
-        rows, c = self.loss._batch(idx, x)
-        return rows.diff_sum(c, self.anchor_coef[idx]) / len(idx) + self.anchor_full_grad
 
     def estimate(self, x):
         x = self.loss._check_x(x)
         if self.steps_since_anchor >= self.epoch_len:
-            self._anchor(x)
-            self.evals += self.n
+            self._refresh(x)
+            self.anchor_x, self.steps_since_anchor = np.array(x, dtype=float), 0
         idx = self._draw_batch(self._stream(self.t))
-        g = self._combine(x, idx)
+        g, _ = self._combine(x, idx)
         self.t += 1
         self.steps_since_anchor += 1
         self.evals += 2 * len(idx)
         return g
-
-    def upsilon_gamma(self, x):
-        # Uncertified analogue of SAGA's formula with every memory slot at
-        # the anchor.
-        rows, c = self.loss._all_coefficients(x)
-        dc = c - self.anchor_coef
-        return self._scatter(dc * dc * rows.sq_norms)
 
 
 class SarahEstimator(GradientEstimator):

@@ -157,8 +157,8 @@ def build_toy_reconstruction(
     """
     _check_count("height", height, 8)
     _check_count("width", width, 8)
-    if not noise_sigma >= 0:
-        raise ParameterError("noise_sigma must be nonnegative")
+    if not 0 <= noise_sigma < np.inf:
+        raise ParameterError(f"noise_sigma must be finite and nonnegative, got {noise_sigma}")
     if forward not in ("blur", "mask"):
         raise ParameterError(f"forward must be 'blur' or 'mask', got {forward!r}")
     if reg_kind not in ("l0", "l1"):
@@ -204,8 +204,8 @@ def generate_synthetic_quadratic(n, d, seed=0, conditioning=1.0):
     """
     _check_count("n", n, 1)
     _check_count("d", d, 1)
-    if not conditioning >= 1:
-        raise ParameterError("conditioning must be at least 1")
+    if not 1 <= conditioning < np.inf:
+        raise ParameterError(f"conditioning must be finite and at least 1, got {conditioning}")
     rng = substream(seed, DOMAIN_PROBLEM, 0)
     rows = rng.standard_normal((n, d))
     norms = np.linalg.norm(rows, axis=1)

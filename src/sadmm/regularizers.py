@@ -23,6 +23,8 @@ class Regularizer:
         lam = float(lam)
         if not lam >= 0:
             raise ParameterError(f"lam must be nonnegative, got {lam}")
+        if lam == np.inf:
+            raise ParameterError("lam must be finite, got inf")
         self.lam = lam
 
     def value(self, z):

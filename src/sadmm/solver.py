@@ -63,10 +63,11 @@ class SolverConfig:
     output_rule: str = "final"
 
     def __post_init__(self):
-        if not self.beta > 0:
-            raise ParameterError(f"beta must be positive, got {self.beta}")
-        if not self.tau > 0:
-            raise ParameterError(f"tau must be positive, got {self.tau}")
+        for name, value in (("beta", self.beta), ("tau", self.tau)):
+            if not value > 0:
+                raise ParameterError(f"{name} must be positive, got {value}")
+            if value == math.inf:
+                raise ParameterError(f"{name} must be finite, got inf")
         if not 0 < self.sigma <= 1:
             raise ParameterError(f"sigma must lie in (0, 1], got {self.sigma}")
         _check_count("max_epochs", self.max_epochs, 1)

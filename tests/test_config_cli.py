@@ -776,6 +776,10 @@ def test_every_default_of_every_section(tmp_path, builder, estimator):
         ("sigma = 0.9", "sigma = 0.9\nsarah_p = 4", "[solver] sarah_p applies to estimator 'sarah' only, not 'saga'"),
         ("sigma = 0.9", "sigma = 0.9\nepoch_len = 5", "[solver] epoch_len applies to estimator 'svrg' only, not 'saga'"),
         ("beta = 1.0", "beta = -1.0", "[solver] beta must be positive, got -1.0"),
+        ("beta = 1.0", "beta = inf", "[solver] beta must be finite, got inf"),
+        ("tau = 4.0", "tau = -4.0", "[solver] tau must be positive, got -4.0"),
+        ("tau = 4.0", "tau = inf", "[solver] tau must be finite, got inf"),
+        ("[output]", "[output]\ndiag_every = -1", "[output] diag_every must be at least 0"),
         ("batch_size = 3", "batch_size = 0", "[solver] batch_size must be at least 1"),
         ("estimator = saga", "estimator = adam", "[solver] unknown estimator kind 'adam'"),
         ("estimator = saga", "estimator = sarah\nsarah_p = 1", "[solver] sarah requires restart_p > 1"),

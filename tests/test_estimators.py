@@ -192,6 +192,11 @@ def test_svrg_reanchors_every_epoch_len():
     assert np.array_equal(est.anchor_x, x0)
     est.estimate(xs[2])  # fourth call: re-anchor at xs[2] first
     assert np.array_equal(est.anchor_x, xs[2])
+    # the re-anchor moved SAGA's memory whole: every slot and the mean
+    fresh = FiniteSumLoss(loss.components)
+    assert est.alpha.tobytes() == fresh.component_coefficients(xs[2])[1].tobytes()
+    assert est.phi_mean.tobytes() == fresh.full_gradient(xs[2]).tobytes()
+    assert est.evals == 2 * loss.n + 4 * 2 * 2
 
 
 def test_sgd_estimate_matches_manual_formula():

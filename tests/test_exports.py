@@ -130,3 +130,13 @@ def test_each_fact_is_stored_once():
     shared = ({f.name for f in fields(sadmm.DiagnosticsRecord)}
               & {f.name for f in fields(sadmm.IterationRecord)})
     assert shared == set()
+
+
+def test_svrg_is_saga_with_another_update_policy():
+    # SVRG keeps SAGA's memory, combine and error bound, and moves the
+    # memory whole at each anchor; only its set-up and its estimate differ
+    from sadmm.estimators import SagaEstimator, SvrgEstimator
+
+    assert SvrgEstimator.__bases__ == (SagaEstimator,)
+    methods = {k for k, v in vars(SvrgEstimator).items() if callable(v) or isinstance(v, property)}
+    assert methods == {"__init__", "estimate"}

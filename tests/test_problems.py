@@ -203,6 +203,11 @@ def test_toy_reconstruction_mask_keep_one_is_identity_forward():
     assert np.array_equal(rows, np.eye(64))
     b = np.array([c.b for c in problem.loss.components])
     assert np.array_equal(b, truth)
+    # infinite noise or penalty would reach the run as a non-finite x or objective
+    with pytest.raises(ParameterError, match="^noise_sigma must be finite and nonnegative, got inf$"):
+        build_toy_reconstruction(8, 8, forward="mask", noise_sigma=float("inf"))
+    with pytest.raises(ParameterError, match="^lam must be finite, got inf$"):
+        build_toy_reconstruction(8, 8, forward="mask", lam=float("inf"))
 
 
 def test_toy_reconstruction_blur_zero_radius_is_identity_forward():
@@ -283,6 +288,10 @@ def test_synthetic_quadratic_conditioning_and_determinism():
     again = generate_synthetic_quadratic(10, 4, seed=5, conditioning=7.0)
     for a, b in zip(spread.loss.components, again.loss.components):
         assert np.array_equal(a.r, b.r) and a.b == b.b
+
+    # an infinite spread would scale the last row to inf and x to NaN
+    with pytest.raises(ParameterError, match="^conditioning must be finite and at least 1, got inf$"):
+        generate_synthetic_quadratic(10, 4, conditioning=float("inf"))
 
 
 def test_synthetic_quadratic_least_squares_minimizer():
